@@ -440,7 +440,7 @@ void usage(const char* argv0) {
       << "  --trace-sample <p>     put a trace context on every request and\n"
       << "                         head-sample this fraction of them [0,1]\n"
       << "  --span-file <path>     write client.request root spans (JSONL\n"
-      << "                         with a clock anchor) for rlb_trace\n"
+      << "                         with a clock anchor) for rlb_stat --spans\n"
       << "  (plus --probes / --trace <path> from the obs layer)\n";
 }
 

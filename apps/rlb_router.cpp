@@ -206,7 +206,7 @@ int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
 
   // Span recording on by default: zero cost until a request carries a wire
-  // context, and the TRACE scrape channel (rlb_trace) expects spans.
+  // context, and span scrapes (rlb_stat --spans) expect spans.
   obs::set_span_recording(true);
 
   std::unique_ptr<cluster::Router> router;

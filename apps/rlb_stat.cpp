@@ -7,19 +7,27 @@
 // with --json, or a continuously refreshed view with --watch (which also
 // shows per-interval deltas between scrapes next to lifetime counters).
 //
-// --events switches to the health plane's control-plane journal: every
-// endpoint (the single --host/--port target, or the --cluster list) is
-// drained over the EVENTS opcode and the per-process journals are merged
-// into one clock-aligned timeline, using the same RTT-midpoint anchor
-// correction as rlb_trace.  --follow keeps tailing new events.
+// --events and --spans read the daemons' sequenced rings over the EVENTS
+// opcode: every endpoint (the single --host/--port target, or the
+// --cluster list) is read by cursor, and each batch is placed on this
+// process's wall clock by net::clock_offset_ns (RTT-midpoint anchor
+// alignment).  --events merges the control-plane journals into one
+// timeline (--follow keeps tailing new events); --spans merges the span
+// flight recorders, plus loadgen --span-file JSONL, into cross-process
+// request trees.  Reads never remove records, so scrapers coexist.
 #include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <fstream>
 #include <iostream>
+#include <map>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <unistd.h>
@@ -49,12 +57,23 @@ void usage(const char* argv0) {
             << "                    fan out: scrape every listed endpoint\n"
             << "                    (router + backends) and merge into one\n"
             << "                    per-node table (or a JSON document)\n"
-            << "  --events          drain the control-plane journal (EVENTS)\n"
+            << "  --events          read the control-plane journal (EVENTS)\n"
             << "                    from the target -- or every --cluster\n"
             << "                    endpoint -- into one clock-aligned merged\n"
             << "                    timeline (--json for machine output)\n"
             << "  --follow          with --events: keep tailing new events\n"
-            << "                    every --watch interval (default 1s)\n";
+            << "                    every --watch interval (default 1s)\n"
+            << "  --spans           read the span recorders of the target --\n"
+            << "                    or every --cluster endpoint -- and merge\n"
+            << "                    them into cross-process request trees\n"
+            << "  --span-file <path>\n"
+            << "                    with --spans: merge a span JSONL file too\n"
+            << "                    (rlb_loadgen --span-file); repeatable\n"
+            << "  --out <path>      with --spans: merged spans as JSONL\n"
+            << "  --chrome <path>   with --spans: a Chrome trace\n"
+            << "                    (chrome://tracing, Perfetto)\n"
+            << "  --print <n>       with --spans: print n span trees, retried\n"
+            << "                    first (default 3; 0 = summary only)\n";
 }
 
 /// Per-interval deltas between two consecutive --watch scrapes.
@@ -379,7 +398,48 @@ void print_cluster_json(const std::vector<ClusterRow>& rows) {
 }
 
 // ---------------------------------------------------------------------------
-// --events: merged control-plane timeline.
+// Ring reads: --events (the journal) and --spans (the span recorder) share
+// one cursor-read loop and one clock alignment.
+
+/// "router" / "backend-<id>", from a batch's identity header.
+std::string node_label(const rlb::net::EventsSnapshot& snap) {
+  return snap.role == rlb::net::NodeRole::kRouter
+             ? "router"
+             : "backend-" + std::to_string(snap.backend_id);
+}
+
+/// Cursor-read one endpoint's ring until it reports nothing remaining.
+/// Each batch reaches `on_batch` with the offset that maps its
+/// steady-clock timestamps onto this process's wall clock.  Throws on I/O
+/// and protocol errors.
+template <typename OnBatch>
+void read_ring(const rlb::cluster::BackendEndpoint& endpoint,
+               rlb::net::RingId ring, std::uint64_t& cursor,
+               OnBatch&& on_batch) {
+  rlb::net::Client client;
+  client.connect(endpoint.host, endpoint.port);
+  client.set_recv_timeout_ms(2000);
+  for (;;) {
+    const std::uint64_t sent_wall = rlb::obs::wall_now_ns();
+    client.send_events_request(cursor, ring);
+    client.flush();
+    rlb::net::EventsSnapshot snap;
+    if (!client.read_events_response(snap)) {
+      throw std::runtime_error("connection closed");
+    }
+    const std::int64_t offset = rlb::net::clock_offset_ns(
+        sent_wall, rlb::obs::wall_now_ns(), snap.steady_ns);
+    cursor = snap.next_cursor;
+    on_batch(snap, offset);
+    if (snap.remaining == 0) return;
+  }
+}
+
+std::string endpoint_name(const rlb::cluster::BackendEndpoint& endpoint) {
+  return endpoint.host + ":" + std::to_string(endpoint.port);
+}
+
+// -- --events: merged control-plane timeline.
 
 /// One journal event mapped onto the scraper's wall clock.
 struct AlignedEvent {
@@ -388,7 +448,7 @@ struct AlignedEvent {
   rlb::net::EventRecord record;
 };
 
-/// Per-endpoint drain state for --events [--follow].
+/// Per-endpoint read state for --events [--follow].
 struct EventsSource {
   rlb::cluster::BackendEndpoint endpoint;
   std::string label;
@@ -397,47 +457,23 @@ struct EventsSource {
   bool reachable = false;
 };
 
-/// Drain everything past `src.cursor` from one endpoint, aligning each
-/// event's peer-steady timestamp onto this process's wall clock via the
-/// response anchor and the RTT-midpoint skew estimate (the same correction
-/// rlb_trace applies to merged spans).
+/// Read everything past `src.cursor` from one endpoint's journal.
 void poll_events(EventsSource& src, std::vector<AlignedEvent>& out) {
   try {
-    rlb::net::Client client;
-    client.connect(src.endpoint.host, src.endpoint.port);
-    client.set_recv_timeout_ms(2000);
-    for (;;) {
-      const std::uint64_t sent_wall = rlb::obs::wall_now_ns();
-      client.send_events_request(src.cursor);
-      client.flush();
-      rlb::net::EventsSnapshot snap;
-      if (!client.read_events_response(snap)) break;
-      const std::uint64_t recv_wall = rlb::obs::wall_now_ns();
-      // The peer stamped its anchor (steady_ns, wall_ns) while answering —
-      // locally that instant is best estimated as the request's RTT
-      // midpoint.  Mapping peer-steady onto local-wall through the anchor
-      // cancels the peer's wall-clock skew entirely.
-      const std::int64_t anchor_local =
-          static_cast<std::int64_t>(sent_wall) +
-          static_cast<std::int64_t>(recv_wall - sent_wall) / 2;
-      const std::int64_t offset =
-          anchor_local - static_cast<std::int64_t>(snap.steady_ns);
-      src.label = snap.role == rlb::net::NodeRole::kRouter
-                      ? "router"
-                      : "backend-" + std::to_string(snap.backend_id);
-      src.reachable = true;
-      src.dropped += snap.dropped;
-      src.cursor = snap.next_cursor;
-      for (rlb::net::EventRecord& rec : snap.events) {
-        AlignedEvent ev;
-        ev.source = src.label;
-        ev.wall_ns = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(rec.steady_ns) + offset);
-        ev.record = std::move(rec);
-        out.push_back(std::move(ev));
-      }
-      if (snap.remaining == 0) break;
-    }
+    read_ring(src.endpoint, rlb::net::RingId::kJournal, src.cursor,
+              [&](rlb::net::EventsSnapshot& snap, std::int64_t offset) {
+                src.label = node_label(snap);
+                src.reachable = true;
+                src.dropped += snap.dropped;
+                for (rlb::net::EventRecord& rec : snap.events) {
+                  AlignedEvent ev;
+                  ev.source = src.label;
+                  ev.wall_ns = static_cast<std::uint64_t>(
+                      static_cast<std::int64_t>(rec.steady_ns) + offset);
+                  ev.record = std::move(rec);
+                  out.push_back(std::move(ev));
+                }
+              });
   } catch (const std::exception&) {
     src.reachable = false;
   }
@@ -533,7 +569,7 @@ int run_events(const std::vector<rlb::cluster::BackendEndpoint>& endpoints,
   for (const rlb::cluster::BackendEndpoint& endpoint : endpoints) {
     EventsSource src;
     src.endpoint = endpoint;
-    src.label = endpoint.host + ":" + std::to_string(endpoint.port);
+    src.label = endpoint_name(endpoint);
     sources.push_back(std::move(src));
   }
 
@@ -577,6 +613,271 @@ int run_events(const std::vector<rlb::cluster::BackendEndpoint>& endpoints,
   return any_reachable ? 0 : 1;
 }
 
+// -- --spans: merged cross-process span trees.
+//
+// Each process in the data path (rlb_loadgen -> rlb_router -> rlbd)
+// records spans on its own steady clock.  --spans reads the span ring of
+// every endpoint, places each batch on this process's wall clock with the
+// same alignment as --events, adds loadgen root spans from --span-file
+// JSONL (aligned by the file's anchor line: there is no RTT to measure),
+// and rebuilds the trees (client.request -> router.request -> router.hop
+// per attempt -> engine.request).  The final summary line is
+// machine-parseable: traces with >= 2 router.hop spans count as
+// `retried`, traces with spans from >= 2 processes as `cross_process`.
+
+/// A span placed on this process's wall clock.
+struct PlacedSpan {
+  rlb::obs::Span span;
+  std::int64_t wall_start_ns = 0;
+  std::int64_t wall_end_ns = 0;
+  std::uint32_t source = 0;  ///< index into SpanMerge::labels
+};
+
+struct SpanMerge {
+  std::vector<std::string> labels;  ///< one per process
+  std::vector<PlacedSpan> placed;
+
+  void add(const std::string& label, const std::vector<rlb::obs::Span>& spans,
+           std::int64_t offset) {
+    if (spans.empty()) return;  // a process counts once it has spans
+    const auto it = std::find(labels.begin(), labels.end(), label);
+    const auto source = static_cast<std::uint32_t>(it - labels.begin());
+    if (it == labels.end()) labels.push_back(label);
+    for (const rlb::obs::Span& span : spans) {
+      placed.push_back({span, static_cast<std::int64_t>(span.start_ns) + offset,
+                        static_cast<std::int64_t>(span.end_ns) + offset,
+                        source});
+    }
+  }
+};
+
+/// Per-trace rollup used by the summary and tree printer.
+struct SpanTree {
+  std::vector<std::size_t> spans;  ///< indices into placed, start order
+  std::set<std::uint32_t> sources;
+  std::size_t hops = 0;
+  bool sampled = false;
+  bool failed = false;
+};
+
+void write_spans_jsonl(const SpanMerge& merge, std::ostream& os) {
+  for (const PlacedSpan& p : merge.placed) {
+    os << "{\"trace_id\":" << p.span.trace_id
+       << ",\"span_id\":" << p.span.span_id
+       << ",\"parent_span_id\":" << p.span.parent_span_id << ",\"name\":\""
+       << json_escape(p.span.name) << "\",\"proc\":\""
+       << json_escape(merge.labels[p.source])
+       << "\",\"wall_start_ns\":" << p.wall_start_ns
+       << ",\"wall_end_ns\":" << p.wall_end_ns
+       << ",\"shard\":" << p.span.shard << ",\"tid\":" << p.span.tid
+       << ",\"queue_depth\":" << p.span.queue_depth
+       << ",\"flags\":" << static_cast<unsigned>(p.span.flags)
+       << ",\"cause\":" << static_cast<unsigned>(p.span.cause) << "}\n";
+  }
+}
+
+void write_spans_chrome(const SpanMerge& merge, std::ostream& os) {
+  const std::int64_t base =
+      merge.placed.empty() ? 0 : merge.placed.front().wall_start_ns;
+  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  for (std::size_t i = 0; i < merge.labels.size(); ++i) {
+    if (i > 0) os << ",";
+    os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << i + 1
+       << ",\"tid\":0,\"args\":{\"name\":\"" << json_escape(merge.labels[i])
+       << "\"}}";
+  }
+  for (const PlacedSpan& p : merge.placed) {
+    const double ts = static_cast<double>(p.wall_start_ns - base) / 1000.0;
+    const double dur =
+        static_cast<double>(p.wall_end_ns - p.wall_start_ns) / 1000.0;
+    os << ",{\"name\":\"" << json_escape(p.span.name)
+       << "\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":" << ts
+       << ",\"dur\":" << dur << ",\"pid\":" << p.source + 1
+       << ",\"tid\":" << p.span.tid << ",\"args\":{\"trace_id\":\""
+       << p.span.trace_id << "\",\"span_id\":\"" << p.span.span_id
+       << "\",\"parent\":\"" << p.span.parent_span_id
+       << "\",\"shard\":" << p.span.shard
+       << ",\"queue_depth\":" << p.span.queue_depth
+       << ",\"cause\":" << static_cast<unsigned>(p.span.cause) << "}}";
+  }
+  os << "]}\n";
+}
+
+void print_span_tree(const SpanMerge& merge, const SpanTree& tree,
+                     std::uint64_t trace_id) {
+  std::unordered_map<std::uint64_t, std::vector<std::size_t>> children;
+  std::set<std::uint64_t> present;
+  for (const std::size_t i : tree.spans) {
+    present.insert(merge.placed[i].span.span_id);
+  }
+  std::vector<std::size_t> roots;
+  for (const std::size_t i : tree.spans) {
+    const rlb::obs::Span& s = merge.placed[i].span;
+    if (s.parent_span_id != 0 && present.count(s.parent_span_id)) {
+      children[s.parent_span_id].push_back(i);
+    } else {
+      roots.push_back(i);  // true root, or parent lost to sampling/drop
+    }
+  }
+  std::cout << "trace " << std::hex << trace_id << std::dec << " ("
+            << tree.spans.size() << " spans, " << tree.hops << " hops"
+            << (tree.sampled ? ", sampled" : "")
+            << (tree.failed ? ", failed" : "") << ")\n";
+  struct Frame {
+    std::size_t index;
+    unsigned depth;
+  };
+  std::vector<Frame> stack;
+  for (auto it = roots.rbegin(); it != roots.rend(); ++it) {
+    stack.push_back({*it, 1});
+  }
+  while (!stack.empty()) {
+    const Frame frame = stack.back();
+    stack.pop_back();
+    const PlacedSpan& p = merge.placed[frame.index];
+    std::cout << std::string(frame.depth * 2, ' ') << p.span.name << " "
+              << (p.wall_end_ns - p.wall_start_ns) / 1000 << "us ["
+              << merge.labels[p.source];
+    if (p.span.shard != 0 || std::string(p.span.name) == "engine.request") {
+      std::cout << " shard=" << p.span.shard;
+    }
+    std::cout << "]";
+    if (p.span.queue_depth != 0) std::cout << " depth=" << p.span.queue_depth;
+    if (p.span.cause != 0) {
+      std::cout << " cause="
+                << rlb::net::to_string(
+                       static_cast<rlb::net::Status>(p.span.cause));
+    }
+    std::cout << "\n";
+    const auto kids = children.find(p.span.span_id);
+    if (kids != children.end()) {
+      for (auto it = kids->second.rbegin(); it != kids->second.rend(); ++it) {
+        stack.push_back({*it, frame.depth + 1});
+      }
+    }
+  }
+}
+
+struct SpansOptions {
+  std::vector<std::string> span_files;
+  std::string out_path;
+  std::string chrome_path;
+  std::uint64_t print_trees = 3;
+};
+
+/// The --spans entry point: read, align, merge, render.
+int run_spans(const std::vector<rlb::cluster::BackendEndpoint>& endpoints,
+              const SpansOptions& options) {
+  SpanMerge merge;
+  std::size_t sources_ok = 0;
+  for (const rlb::cluster::BackendEndpoint& endpoint : endpoints) {
+    std::uint64_t cursor = 0;
+    std::string label = "(no spans)";
+    std::size_t spans = 0;
+    std::uint64_t dropped = 0;
+    try {
+      read_ring(endpoint, rlb::net::RingId::kSpans, cursor,
+                [&](rlb::net::EventsSnapshot& snap, std::int64_t offset) {
+                  label = node_label(snap);
+                  spans += snap.spans.size();
+                  dropped += snap.dropped;
+                  merge.add(label, snap.spans, offset);
+                });
+    } catch (const std::exception& e) {
+      std::cerr << "rlb_stat: " << endpoint_name(endpoint) << ": " << e.what()
+                << "\n";
+      continue;
+    }
+    ++sources_ok;
+    std::cout << "rlb_stat: " << endpoint_name(endpoint) << " -> " << label
+              << " spans=" << spans << " dropped=" << dropped << "\n";
+  }
+  for (const std::string& path : options.span_files) {
+    std::ifstream is(path);
+    if (!is) {
+      std::cerr << "rlb_stat: " << path << ": cannot open\n";
+      continue;
+    }
+    ++sources_ok;
+    std::uint64_t anchor_steady = 0;
+    std::uint64_t anchor_wall = 0;
+    const std::vector<rlb::obs::Span> spans =
+        rlb::obs::parse_spans_jsonl(is, anchor_steady, anchor_wall);
+    merge.add("client", spans,
+              static_cast<std::int64_t>(anchor_wall) -
+                  static_cast<std::int64_t>(anchor_steady));
+    std::cout << "rlb_stat: " << path << " -> client spans=" << spans.size();
+    if (anchor_wall == 0) {
+      std::cout << " (no clock anchor: timestamps stay process-relative)";
+    }
+    std::cout << "\n";
+  }
+  if (sources_ok == 0) {
+    std::cerr << "rlb_stat: every span source failed\n";
+    return 1;
+  }
+
+  std::sort(merge.placed.begin(), merge.placed.end(),
+            [](const PlacedSpan& a, const PlacedSpan& b) {
+              return a.wall_start_ns < b.wall_start_ns;
+            });
+  std::map<std::uint64_t, SpanTree> trees;
+  for (std::size_t i = 0; i < merge.placed.size(); ++i) {
+    const rlb::obs::Span& span = merge.placed[i].span;
+    SpanTree& tree = trees[span.trace_id];
+    tree.spans.push_back(i);
+    tree.sources.insert(merge.placed[i].source);
+    if (std::string(span.name) == "router.hop") ++tree.hops;
+    if (span.flags & rlb::obs::kSpanSampled) tree.sampled = true;
+    if (span.cause != 0) tree.failed = true;
+  }
+  std::size_t cross_process = 0;
+  std::size_t retried = 0;
+  std::size_t failed = 0;
+  for (const auto& [id, tree] : trees) {
+    if (tree.sources.size() >= 2) ++cross_process;
+    if (tree.hops >= 2) ++retried;
+    if (tree.failed) ++failed;
+  }
+
+  const auto write_file = [&](const std::string& path, auto&& writer) {
+    if (path.empty()) return true;
+    std::ofstream os(path);
+    if (!os) {
+      std::cerr << "rlb_stat: cannot write " << path << "\n";
+      return false;
+    }
+    writer(merge, os);
+    return true;
+  };
+  if (!write_file(options.out_path, write_spans_jsonl) ||
+      !write_file(options.chrome_path, write_spans_chrome)) {
+    return 1;
+  }
+
+  // Retried traces make the most interesting trees; show them first.
+  std::vector<std::pair<std::uint64_t, const SpanTree*>> order;
+  order.reserve(trees.size());
+  for (const auto& [id, tree] : trees) order.emplace_back(id, &tree);
+  std::stable_sort(order.begin(), order.end(),
+                   [](const auto& a, const auto& b) {
+                     if (a.second->hops != b.second->hops) {
+                       return a.second->hops > b.second->hops;
+                     }
+                     return a.second->spans.size() > b.second->spans.size();
+                   });
+  for (std::size_t i = 0; i < order.size() && i < options.print_trees; ++i) {
+    print_span_tree(merge, *order[i].second, order[i].first);
+  }
+
+  std::cout << "rlb_stat: merged traces=" << trees.size()
+            << " spans=" << merge.placed.size()
+            << " processes=" << merge.labels.size()
+            << " cross_process=" << cross_process << " retried=" << retried
+            << " failed=" << failed << std::endl;
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -589,6 +890,8 @@ int main(int argc, char** argv) {
   bool json = false;
   bool events = false;
   bool follow = false;
+  bool spans = false;
+  SpansOptions spans_options;
   std::uint64_t interval_s = 1;
   std::vector<cluster::BackendEndpoint> cluster_endpoints;
 
@@ -616,6 +919,16 @@ int main(int argc, char** argv) {
       events = true;
     } else if (flag == "--follow") {
       follow = true;
+    } else if (flag == "--spans") {
+      spans = true;
+    } else if (flag == "--span-file" && i + 1 < argc) {
+      spans_options.span_files.emplace_back(argv[++i]);
+    } else if (flag == "--out" && i + 1 < argc) {
+      spans_options.out_path = argv[++i];
+    } else if (flag == "--chrome" && i + 1 < argc) {
+      spans_options.chrome_path = argv[++i];
+    } else if (flag == "--print" && i + 1 < argc) {
+      spans_options.print_trees = std::strtoull(argv[++i], nullptr, 10);
     } else if (flag == "--cluster" && i + 1 < argc) {
       try {
         cluster_endpoints = cluster::parse_backend_list(argv[++i]);
@@ -633,7 +946,11 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, handle_signal);
   std::signal(SIGTERM, handle_signal);
 
-  if (events) {
+  if (events && spans) {
+    std::cerr << "rlb_stat: --events and --spans are exclusive\n";
+    return 2;
+  }
+  if (events || spans) {
     std::vector<cluster::BackendEndpoint> endpoints = cluster_endpoints;
     if (endpoints.empty()) {
       cluster::BackendEndpoint endpoint;
@@ -641,6 +958,7 @@ int main(int argc, char** argv) {
       endpoint.port = port;
       endpoints.push_back(std::move(endpoint));
     }
+    if (spans) return run_spans(endpoints, spans_options);
     return run_events(endpoints, json, follow, interval_s);
   }
   if (follow) {

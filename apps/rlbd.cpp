@@ -27,7 +27,6 @@
 #include "net/events_wire.hpp"
 #include "net/server.hpp"
 #include "net/stats.hpp"
-#include "net/trace_wire.hpp"
 #include "net/wire.hpp"
 #include "obs/health.hpp"
 #include "obs/journal.hpp"
@@ -269,25 +268,19 @@ int main(int argc, char** argv) {
       [&engine](std::uint64_t bytes) { engine.note_migration_out(bytes); });
   migration_agent.install();
 
-  // TRACE drains the span flight recorder; span recording is on by default
-  // (zero cost until a request actually carries a wire context).
+  // EVENTS reads the control-plane journal or the span flight recorder by
+  // cursor (non-destructive, so any number of rlb_stat scrapers coexist).
+  // Span recording is on by default (zero cost until a request actually
+  // carries a wire context).
   obs::set_span_recording(true);
   const std::uint32_t backend_id = config.backend_id;
-  server.set_trace_handler(
-      [&server, backend_id](std::uint64_t conn_token,
-                            const net::TraceRequestMsg&) {
-        server.send_trace(conn_token, net::make_trace_snapshot(
-                                          net::NodeRole::kBackend, backend_id));
-      });
-
-  // EVENTS drains the control-plane journal by cursor (non-destructive, so
-  // any number of rlb_stat --events scrapers coexist).
   server.set_events_handler(
       [&server, backend_id](std::uint64_t conn_token,
                             const net::EventsRequestMsg& msg) {
         server.send_events(conn_token,
                            net::make_events_snapshot(net::NodeRole::kBackend,
-                                                     backend_id, msg.cursor));
+                                                     backend_id, msg.cursor,
+                                                     msg.ring()));
       });
 
   std::ofstream safe_set_log;

@@ -16,15 +16,17 @@
 #             the sum of the three phases' ok counts.
 #   phase 4 — distributed tracing under failure: a traced run (wire
 #             contexts + client span file) with another mid-run SIGKILL;
-#             rlb_trace must merge client, router, and backend spans into
-#             cross-process trees that include retried hops, and every
-#             emitted JSONL file must parse line by line.  A second traced
-#             loadgen is SIGTERMed mid-run to check the flush-on-drain
-#             path leaves a complete span file behind.
+#             rlb_stat --spans must merge client, router, and backend
+#             spans into cross-process trees that include retried hops,
+#             every emitted JSONL file must parse line by line, and a
+#             second scrape must find the same spans again (span reads are
+#             non-destructive).  A second traced loadgen is SIGTERMed
+#             mid-run to check the flush-on-drain path leaves a complete
+#             span file behind.
 #
 # RLB_CLUSTER_SMOKE_OBS_OFF=1 relaxes phase 4 for builds with the obs
 # plane compiled out (-DRLB_OBS_ENABLED=OFF): recorders are empty by
-# design there, so only the TRACE channel, the merger exit status, and the
+# design there, so only the span channel, the merger exit status, and the
 # file formats are asserted.
 #
 # Usage: scripts/cluster_smoke.sh [build-dir]      (default: build)
@@ -35,7 +37,6 @@ RLBD="$BUILD_DIR/apps/rlbd"
 ROUTER="$BUILD_DIR/apps/rlb_router"
 LOADGEN="$BUILD_DIR/apps/rlb_loadgen"
 RLB_STAT="$BUILD_DIR/apps/rlb_stat"
-RLB_TRACE="$BUILD_DIR/apps/rlb_trace"
 OBS_OFF="${RLB_CLUSTER_SMOKE_OBS_OFF:-0}"
 
 BASE_PORT="${RLB_CLUSTER_SMOKE_PORT:-4930}"
@@ -54,15 +55,17 @@ ROUTER_JSON="$(mktemp /tmp/rlb_cluster_router.XXXXXX.json)"
 SPAN_FILE="$(mktemp /tmp/rlb_cluster_spans.XXXXXX.jsonl)"
 SPAN_FILE2="$(mktemp /tmp/rlb_cluster_spans2.XXXXXX.jsonl)"
 MERGED_JSONL="$(mktemp /tmp/rlb_cluster_merged.XXXXXX.jsonl)"
+MERGED2_JSONL="$(mktemp /tmp/rlb_cluster_merged2.XXXXXX.jsonl)"
 CHROME_JSON="$(mktemp /tmp/rlb_cluster_chrome.XXXXXX.json)"
 TRACE_SUMMARY="$(mktemp /tmp/rlb_cluster_trace.XXXXXX.txt)"
 EVENTS_JSON="$(mktemp /tmp/rlb_cluster_events.XXXXXX.json)"
 FLIGHT_JSON="$(mktemp /tmp/rlb_cluster_flight.XXXXXX.json)"
 TMPFILES=("$P1_JSON" "$P2_JSON" "$P3_JSON" "$P4_JSON" "$CLUSTER_JSON" \
           "$ROUTER_JSON" "$SPAN_FILE" "$SPAN_FILE2" "$MERGED_JSONL" \
-          "$CHROME_JSON" "$TRACE_SUMMARY" "$EVENTS_JSON" "$FLIGHT_JSON")
+          "$MERGED2_JSONL" "$CHROME_JSON" "$TRACE_SUMMARY" "$EVENTS_JSON" \
+          "$FLIGHT_JSON")
 
-for bin in "$RLBD" "$ROUTER" "$LOADGEN" "$RLB_STAT" "$RLB_TRACE"; do
+for bin in "$RLBD" "$ROUTER" "$LOADGEN" "$RLB_STAT"; do
   if [[ ! -x "$bin" ]]; then
     echo "cluster_smoke: missing binary $bin (build first)" >&2
     exit 1
@@ -371,8 +374,8 @@ echo "cluster_smoke: flight recorder OK — SIGQUIT dumped, router alive"
 # phase-2 repair migrated every chunk referencing B3 onto B1/B2 and
 # nothing rebalances back on rejoin, so the rejoined B3 carries no
 # traffic — killing it again would fail nothing.)  The dead B2 endpoint
-# stays on the rlb_trace scrape list to exercise the partial-failure path
-# (the merger must warn and continue).
+# stays on the rlb_stat --spans scrape list to exercise the partial-failure
+# path (the merger must warn and continue).
 router_completed() {
   "$RLB_STAT" --port "$ROUTER_PORT" --json 2>/dev/null \
     | python3 -c \
@@ -403,12 +406,15 @@ wait_gone "$B2_PID"
 B2_PID=""
 wait "$LOADGEN_PID"
 
-"$RLB_TRACE" --endpoints "127.0.0.1:$ROUTER_PORT,$BACKENDS" \
+"$RLB_STAT" --spans --cluster "127.0.0.1:$ROUTER_PORT,$BACKENDS" \
   --span-file "$SPAN_FILE" --out "$MERGED_JSONL" --chrome "$CHROME_JSON" \
   --print 1 | tee "$TRACE_SUMMARY"
+# Scrape again: reads are non-destructive, so the spans are all still there.
+"$RLB_STAT" --spans --cluster "127.0.0.1:$ROUTER_PORT,$BACKENDS" \
+  --span-file "$SPAN_FILE" --out "$MERGED2_JSONL" --print 0 >/dev/null
 
 python3 - "$P4_JSON" "$TRACE_SUMMARY" "$MERGED_JSONL" "$CHROME_JSON" \
-    "$SPAN_FILE" "$OBS_OFF" <<'EOF'
+    "$SPAN_FILE" "$OBS_OFF" "$MERGED2_JSONL" <<'EOF'
 import json, sys
 summary = json.load(open(sys.argv[1]))
 assert int(summary["protocol_errors"]) == 0, "phase 4: protocol errors"
@@ -416,7 +422,7 @@ assert int(summary["errors"]) == 0, "phase 4: transport errors"
 answered = int(summary["ok"]) + int(summary["rejected"])
 assert answered == 150000, f"phase 4: answered {answered} != 150000"
 
-line = next(l for l in open(sys.argv[2]) if l.startswith("rlb_trace: merged"))
+line = next(l for l in open(sys.argv[2]) if l.startswith("rlb_stat: merged"))
 fields = dict(kv.split("=") for kv in line.split()[2:])
 obs_off = sys.argv[6] == "1"
 
@@ -429,6 +435,16 @@ for raw in open(sys.argv[3]):
         merged += 1
 chrome = json.load(open(sys.argv[4]))
 assert isinstance(chrome["traceEvents"], list), "phase 4: bad Chrome trace"
+
+# The second scrape must return the same merged spans.  Repair spans are
+# left out of the comparison: the repair plane is still healing B2's
+# chunks and may record more of them between the two scrapes.
+def request_spans(path):
+    return sorted(rec["span_id"] for rec in map(json.loads, open(path))
+                  if not rec["name"].startswith("repair."))
+first, second = request_spans(sys.argv[3]), request_spans(sys.argv[7])
+assert first == second, \
+    f"phase 4: second scrape saw {len(second)} spans, first {len(first)}"
 client_spans = 0
 first_line = None
 for raw in open(sys.argv[5]):
@@ -442,7 +458,7 @@ for raw in open(sys.argv[5]):
 if obs_off:
     # Recorders are compiled out: the channel must still answer and the
     # files must still be well-formed, but they stay empty.
-    print(f"cluster_smoke: phase 4 OK (obs-off) — TRACE channel answered, "
+    print(f"cluster_smoke: phase 4 OK (obs-off) — span channel answered, "
           f"merger emitted {merged} spans, all files parse")
 else:
     assert first_line is not None and first_line.get("anchor") == 1, \
@@ -458,7 +474,8 @@ else:
     print(f"cluster_smoke: phase 4 OK — {fields['traces']} merged traces "
           f"across {fields['processes']} processes "
           f"({fields['cross_process']} cross-process, "
-          f"{fields['retried']} with retried hops)")
+          f"{fields['retried']} with retried hops; a second scrape saw "
+          f"the same {len(first)} request spans)")
 EOF
 
 # SIGTERM drain regression: a tracing client killed mid-run must still

@@ -57,8 +57,7 @@ struct BackendView {
   std::uint32_t servers = 0;
   std::uint32_t servers_down = 0;
   /// EMA of the heartbeat round trip (3/4 old + 1/4 new); 0 until the
-  /// first sample.  rlb_trace uses half of this as the clock-anchor
-  /// offset correction for merged cross-process spans.
+  /// first sample.
   std::uint64_t rtt_ema_us = 0;
 };
 

@@ -20,7 +20,6 @@
 #include "net/events_wire.hpp"
 #include "net/server.hpp"
 #include "net/stats.hpp"
-#include "net/trace_wire.hpp"
 #include "net/upstream.hpp"
 #include "obs/journal.hpp"
 #include "obs/probes.hpp"
@@ -149,16 +148,11 @@ struct Router::Impl {
         [this](std::uint64_t token, const net::StatsRequestMsg&) {
           server.send_stats(token, snapshot());
         });
-    server.set_trace_handler(
-        [this](std::uint64_t token, const net::TraceRequestMsg&) {
-          server.send_trace(
-              token, net::make_trace_snapshot(net::NodeRole::kRouter, 0));
-        });
     server.set_events_handler(
         [this](std::uint64_t token, const net::EventsRequestMsg& req) {
           server.send_events(token, net::make_events_snapshot(
                                         net::NodeRole::kRouter, 0,
-                                        req.cursor));
+                                        req.cursor, req.ring()));
         });
   }
 

@@ -23,6 +23,12 @@ void ScriptedFailureSchedule::transitions(Time t,
   }
 }
 
+bool ScriptedFailureSchedule::recovers(ServerId s, Time t) const {
+  return std::any_of(events_.begin(), events_.end(), [&](const Event& e) {
+    return e.server == s && e.up && e.step > t;
+  });
+}
+
 BernoulliFailureSchedule::BernoulliFailureSchedule(double fail_rate,
                                                    double mttr,
                                                    std::uint64_t seed)

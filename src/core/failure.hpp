@@ -41,6 +41,11 @@ class FailureSchedule {
   /// Called once per step with strictly increasing `t`.
   virtual void transitions(Time t, const std::vector<std::uint8_t>& up,
                            std::vector<FailureTransition>& out) = 0;
+
+  /// False when a crash of server `s` at step `t` is permanent: nothing in
+  /// this schedule ever brings it back.  Requests frozen on such a server
+  /// would never be answered, so the live engine rejects them at the crash.
+  virtual bool recovers(ServerId /*s*/, Time /*t*/) const { return true; }
 };
 
 /// A fixed list of (step, server, up) events — deterministic outage scripts
@@ -60,6 +65,8 @@ class ScriptedFailureSchedule final : public FailureSchedule {
   void transitions(Time t, const std::vector<std::uint8_t>& up,
                    std::vector<FailureTransition>& out) override;
 
+  bool recovers(ServerId s, Time t) const override;
+
  private:
   std::vector<Event> events_;  // sorted by step
 };
@@ -74,6 +81,8 @@ class BernoulliFailureSchedule final : public FailureSchedule {
 
   void transitions(Time t, const std::vector<std::uint8_t>& up,
                    std::vector<FailureTransition>& out) override;
+
+  bool recovers(ServerId, Time) const override { return mttr_ > 0.0; }
 
   double fail_rate() const noexcept { return fail_rate_; }
   double mttr() const noexcept { return mttr_; }
@@ -96,6 +105,8 @@ class RackFailureSchedule final : public FailureSchedule {
 
   void transitions(Time t, const std::vector<std::uint8_t>& up,
                    std::vector<FailureTransition>& out) override;
+
+  bool recovers(ServerId, Time) const override { return mttr_ > 0.0; }
 
   std::size_t racks() const noexcept { return racks_; }
 

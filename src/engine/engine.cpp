@@ -457,8 +457,12 @@ void ServingEngine::Impl::Shard::apply_failures() {
     const bool was_up = up_state[transition.server] != 0;
     if (was_up == transition.up) continue;  // no-op transition
     up_state[transition.server] = transition.up ? 1 : 0;
-    balancer->set_server_up(transition.server, transition.up,
-                            owner->config.dump_queue_on_crash, metrics);
+    // A crash the schedule never undoes would freeze its queue forever:
+    // reject those requests now so every client still gets an answer.
+    const bool dump = owner->config.dump_queue_on_crash ||
+                      !schedule->recovers(transition.server,
+                                          static_cast<core::Time>(tick));
+    balancer->set_server_up(transition.server, transition.up, dump, metrics);
     if (transition.up) {
       recoveries.fetch_add(1, std::memory_order_relaxed);
       down.fetch_sub(1, std::memory_order_relaxed);

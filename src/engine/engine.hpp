@@ -76,7 +76,8 @@ struct EngineConfig {
   /// Live outage script; see parse_failure_spec().  Empty = no faults.
   std::string failure_spec;
   /// Crash semantics: reject a crashed server's queued requests at crash
-  /// time (true) or freeze them until recovery (false).
+  /// time (true) or freeze them until recovery (false).  A crash the
+  /// failure schedule never recovers from always rejects.
   bool dump_queue_on_crash = false;
   /// Operator-assigned cluster identity, echoed in STATS snapshots so a
   /// router / rlb_stat --cluster can tell backends apart (rlbd

@@ -270,33 +270,10 @@ ReadOutcome Client::try_read_stats_response(StatsSnapshot& out) {
   return ReadOutcome::kFrame;
 }
 
-void Client::send_trace_request(std::uint32_t flags) {
-  encode_trace_request(TraceRequestMsg{flags}, send_buffer_);
-}
-
-bool Client::read_trace_response(TraceSnapshot& out) {
-  const ReadOutcome outcome = try_read_trace_response(out);
-  if (outcome == ReadOutcome::kTimeout) {
-    throw std::runtime_error("Client: read timed out");
-  }
-  return outcome == ReadOutcome::kFrame;
-}
-
-ReadOutcome Client::try_read_trace_response(TraceSnapshot& out) {
-  const ReadOutcome outcome = next_frame(/*allow_timeout=*/true);
-  if (outcome != ReadOutcome::kFrame) return outcome;
-  if (payload_.empty() ||
-      payload_[0] != static_cast<std::uint8_t>(MsgType::kTraceResponse)) {
-    throw ProtocolError("Client: expected TRACE_RESP frame");
-  }
-  if (!decode_trace_payload(payload_.data(), payload_.size(), out)) {
-    throw ProtocolError("Client: bad TRACE_RESP snapshot");
-  }
-  return ReadOutcome::kFrame;
-}
-
-void Client::send_events_request(std::uint64_t cursor, std::uint32_t flags) {
-  encode_events_request(EventsRequestMsg{flags, cursor}, send_buffer_);
+void Client::send_events_request(std::uint64_t cursor, RingId ring) {
+  encode_events_request(
+      EventsRequestMsg{static_cast<std::uint32_t>(ring), cursor},
+      send_buffer_);
 }
 
 bool Client::read_events_response(EventsSnapshot& out) {

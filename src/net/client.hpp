@@ -21,7 +21,6 @@
 
 #include "net/events_wire.hpp"
 #include "net/stats.hpp"
-#include "net/trace_wire.hpp"
 #include "net/wire.hpp"
 
 namespace rlb::net {
@@ -151,23 +150,12 @@ class Client {
   /// try_read_response() for the outcome semantics).
   ReadOutcome try_read_stats_response(StatsSnapshot& out);
 
-  /// Buffer one TRACE admin frame (no I/O until flush()).  Each TRACE
-  /// drains up to one frame's worth of spans from the peer; keep issuing
-  /// them until a response arrives with remaining == 0.
-  void send_trace_request(std::uint32_t flags = 0);
-
-  /// Block for the next TRACE_RESP frame and decode it.  Returns false on
-  /// clean EOF; throws ProtocolError on framing violations, non-TRACE_RESP
-  /// frames, or an undecodable snapshot.
-  bool read_trace_response(TraceSnapshot& out);
-
-  /// Timeout-aware variant of read_trace_response().
-  ReadOutcome try_read_trace_response(TraceSnapshot& out);
-
-  /// Buffer one EVENTS admin frame (no I/O until flush()).  `cursor` is
-  /// the highest journal sequence already seen (0 = from the oldest
-  /// retained); the response resumes after it.
-  void send_events_request(std::uint64_t cursor, std::uint32_t flags = 0);
+  /// Buffer one EVENTS admin frame (no I/O until flush()) reading `ring`.
+  /// `cursor` is the highest ring sequence already seen (0 = from the
+  /// oldest retained); the response resumes after it.  Reads never
+  /// remove records, so scrapers on other connections see them too.
+  void send_events_request(std::uint64_t cursor,
+                           RingId ring = RingId::kJournal);
 
   /// Block for the next EVENTS_RESP frame and decode it.  Returns false
   /// on clean EOF; throws ProtocolError on framing violations,

@@ -8,11 +8,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
-#if defined(RLB_NET_USE_EPOLL)
 #include <sys/epoll.h>
-#else
-#include <poll.h>
-#endif
 
 #include <atomic>
 #include <cerrno>
@@ -70,7 +66,6 @@ struct NetServer::Impl {
     std::atomic<std::uint64_t> requests_decoded{0};
     std::atomic<std::uint64_t> responses_sent{0};
     std::atomic<std::uint64_t> stats_requests{0};
-    std::atomic<std::uint64_t> trace_requests{0};
     std::atomic<std::uint64_t> events_requests{0};
     std::atomic<std::uint64_t> bytes_in{0};
     std::atomic<std::uint64_t> bytes_out{0};
@@ -104,7 +99,6 @@ struct NetServer::Impl {
   RequestHandler on_request;
   RequestBatchHandler on_batch;
   StatsHandler on_stats;
-  TraceHandler on_trace;
   EventsHandler on_events;
   MigrateHandler on_migrate;
   MigrateDataHandler on_migrate_data;
@@ -112,9 +106,7 @@ struct NetServer::Impl {
   int listen_fd = -1;
   int wake_read = -1;
   int wake_write = -1;
-#if defined(RLB_NET_USE_EPOLL)
   int epoll_fd = -1;
-#endif
   std::thread loop_thread;
   std::atomic<bool> running{false};
   std::atomic<bool> stopping{false};
@@ -130,7 +122,7 @@ struct NetServer::Impl {
   /// Senders add under stage_mu; the loop subtracts what it writes or
   /// drops.  Drives the graceful-stop flush without scanning conns.
   std::atomic<std::int64_t> pending_out{0};
-  /// True only while the loop is (about to be) blocked in epoll/poll.
+  /// True only while the loop is (about to be) blocked in epoll_wait.
   /// Senders skip the wake-pipe syscall when the loop is awake anyway —
   /// under load that removes a write+read syscall pair per splice cycle.
   /// Dekker pairing (both seq_cst): the sender stores stage_dirty then
@@ -141,10 +133,6 @@ struct NetServer::Impl {
 
   // Event-loop-private scratch.
   std::vector<ServerRequest> batch;
-#if !defined(RLB_NET_USE_EPOLL)
-  std::vector<pollfd> pollfds;
-  std::vector<std::size_t> poll_slots;
-#endif
 
   void wake() {
     const char byte = 1;
@@ -213,7 +201,6 @@ struct NetServer::Impl {
         conn.open = true;
       }
       conn.stage_dirty.store(false, std::memory_order_relaxed);
-#if defined(RLB_NET_USE_EPOLL)
       epoll_event ev{};
       ev.events = EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET;
       ev.data.u64 = static_cast<std::uint64_t>(slot);
@@ -221,7 +208,6 @@ struct NetServer::Impl {
         close_conn(slot, /*error=*/true);
         continue;
       }
-#endif
       stats.connections_accepted.fetch_add(1, std::memory_order_relaxed);
       accept_counter.add();
       RLB_TRACE_EVENT(obs::EventKind::kNet, "net.accept", slot, conn.gen);
@@ -273,11 +259,10 @@ struct NetServer::Impl {
         RequestMsg request;
         ResponseMsg response;
         StatsRequestMsg stats_request;
-        TraceRequestMsg trace_request;
         EventsRequestMsg events_request;
         const Decoded decoded =
             decode_payload(payload.data, payload.size, request, response,
-                           stats_request, trace_request, events_request);
+                           stats_request, events_request);
         if (decoded == Decoded::kRequest) {
           stats.requests_decoded.fetch_add(1, std::memory_order_relaxed);
           request_counter.add();
@@ -299,15 +284,6 @@ struct NetServer::Impl {
           RLB_TRACE_EVENT(obs::EventKind::kNet, "net.stats", slot,
                           stats_request.flags);
           on_stats(token, stats_request);
-          continue;
-        }
-        if (decoded == Decoded::kTrace && on_trace) {
-          static obs::Counter trace_counter("net.trace_requests");
-          stats.trace_requests.fetch_add(1, std::memory_order_relaxed);
-          trace_counter.add();
-          RLB_TRACE_EVENT(obs::EventKind::kNet, "net.trace", slot,
-                          trace_request.flags);
-          on_trace(token, trace_request);
           continue;
         }
         if (decoded == Decoded::kEvents && on_events) {
@@ -345,7 +321,7 @@ struct NetServer::Impl {
           on_migrate_data(token, data);
           continue;
         }
-        // Clients may only send REQUEST frames (plus STATS/TRACE/MIGRATE
+        // Clients may only send REQUEST frames (plus STATS/EVENTS/MIGRATE
         // when the daemon installed an admin handler).
         protocol_error_counter.add();
         RLB_TRACE_EVENT(obs::EventKind::kNet, "net.bad_message", slot,
@@ -465,7 +441,7 @@ struct NetServer::Impl {
   }
 
   /// Publish intent to sleep, then re-scan dirty flags (see loop_asleep).
-  /// Returns the poll/epoll timeout to use: 0 when staged output is
+  /// Returns the epoll_wait timeout to use: 0 when staged output is
   /// already waiting, the idle timeout otherwise.
   int arm_sleep(int idle_timeout_ms) {
     loop_asleep.store(true, std::memory_order_seq_cst);
@@ -488,7 +464,6 @@ struct NetServer::Impl {
     if (!ok) close_conn(slot, /*error=*/false);
   }
 
-#if defined(RLB_NET_USE_EPOLL)
   void run_loop() {
     constexpr std::uint64_t kWakeTag = UINT64_MAX;
     constexpr std::uint64_t kListenTag = UINT64_MAX - 1;
@@ -524,60 +499,6 @@ struct NetServer::Impl {
     }
     close_all();
   }
-#else
-  void run_loop() {
-    while (running.load(std::memory_order_acquire)) {
-      const bool draining = stopping.load(std::memory_order_acquire);
-      if (draining && pending_out.load(std::memory_order_acquire) <= 0) break;
-      // Splice before arming so POLLOUT reflects true pending state.
-      service_dirty();
-      pollfds.clear();
-      poll_slots.clear();
-      if (!draining) {
-        pollfds.push_back({listen_fd, POLLIN, 0});
-        poll_slots.push_back(SIZE_MAX);
-      }
-      pollfds.push_back({wake_read, POLLIN, 0});
-      poll_slots.push_back(SIZE_MAX);
-      for (std::size_t i = 0; i < conns.size(); ++i) {
-        const Conn& conn = *conns[i];
-        if (conn.fd < 0) continue;
-        short events = POLLIN;
-        if (conn.front_off < conn.front.size() || !conn.back.empty()) {
-          events |= POLLOUT;
-        }
-        pollfds.push_back({conn.fd, events, 0});
-        poll_slots.push_back(i);
-      }
-      const int timeout = arm_sleep(100);
-      const int ready = ::poll(pollfds.data(),
-                               static_cast<nfds_t>(pollfds.size()), timeout);
-      loop_asleep.store(false, std::memory_order_seq_cst);
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      for (std::size_t i = 0; i < pollfds.size(); ++i) {
-        const pollfd& pfd = pollfds[i];
-        if (pfd.revents == 0) continue;
-        if (pfd.fd == wake_read) {
-          drain_wake_pipe();
-          continue;
-        }
-        if (pfd.fd == listen_fd) {
-          accept_ready();
-          continue;
-        }
-        handle_conn_event(poll_slots[i],
-                          (pfd.revents & (POLLERR | POLLNVAL)) != 0,
-                          (pfd.revents & POLLOUT) != 0,
-                          (pfd.revents & (POLLIN | POLLHUP)) != 0);
-      }
-      service_dirty();
-    }
-    close_all();
-  }
-#endif
 
   void close_all() {
     for (std::size_t slot = 0; slot < conns.size(); ++slot) {
@@ -655,7 +576,6 @@ void NetServer::start() {
     impl_->free_slots.push_back(i - 1);
   }
 
-#if defined(RLB_NET_USE_EPOLL)
   impl_->epoll_fd = ::epoll_create1(0);
   if (impl_->epoll_fd < 0) {
     ::close(impl_->listen_fd);
@@ -673,7 +593,6 @@ void NetServer::start() {
   listen_ev.events = EPOLLIN | EPOLLET;
   listen_ev.data.u64 = UINT64_MAX - 1;
   ::epoll_ctl(impl_->epoll_fd, EPOLL_CTL_ADD, impl_->listen_fd, &listen_ev);
-#endif
 
   impl_->running.store(true, std::memory_order_release);
   impl_->stopping.store(false, std::memory_order_release);
@@ -703,12 +622,10 @@ void NetServer::stop(std::uint64_t flush_timeout_ms) {
     ::close(impl_->wake_write);
     impl_->wake_read = impl_->wake_write = -1;
   }
-#if defined(RLB_NET_USE_EPOLL)
   if (impl_->epoll_fd >= 0) {
     ::close(impl_->epoll_fd);
     impl_->epoll_fd = -1;
   }
-#endif
 }
 
 bool NetServer::send_response(std::uint64_t conn_token,
@@ -761,35 +678,6 @@ bool NetServer::send_stats(std::uint64_t conn_token,
     if (!conn.open || conn.gen != gen) return false;
     const std::size_t before = conn.staged.size();
     if (!encode_stats_response_frame(payload, conn.staged)) return false;
-    impl_->pending_out.fetch_add(
-        static_cast<std::int64_t>(conn.staged.size() - before),
-        std::memory_order_relaxed);
-  }
-  global_buffer_pool().release(std::move(payload));
-  if (!conn.stage_dirty.exchange(true, std::memory_order_seq_cst) &&
-      impl_->loop_asleep.load(std::memory_order_seq_cst)) {
-    impl_->wake();
-  }
-  return true;
-}
-
-void NetServer::set_trace_handler(TraceHandler on_trace) {
-  impl_->on_trace = std::move(on_trace);
-}
-
-bool NetServer::send_trace(std::uint64_t conn_token,
-                           const TraceSnapshot& snapshot) {
-  std::vector<std::uint8_t> payload = global_buffer_pool().acquire();
-  encode_trace_payload(snapshot, payload);
-  const std::size_t slot = static_cast<std::size_t>(conn_token & 0xffffffffu);
-  const auto gen = static_cast<std::uint32_t>(conn_token >> 32);
-  if (slot >= impl_->conns.size()) return false;
-  Impl::Conn& conn = *impl_->conns[slot];
-  {
-    std::lock_guard lock(conn.stage_mu);
-    if (!conn.open || conn.gen != gen) return false;
-    const std::size_t before = conn.staged.size();
-    if (!encode_trace_response_frame(payload, conn.staged)) return false;
     impl_->pending_out.fetch_add(
         static_cast<std::int64_t>(conn.staged.size() - before),
         std::memory_order_relaxed);
@@ -871,7 +759,6 @@ ServerStats NetServer::stats() const {
   out.requests_decoded = a.requests_decoded.load(std::memory_order_relaxed);
   out.responses_sent = a.responses_sent.load(std::memory_order_relaxed);
   out.stats_requests = a.stats_requests.load(std::memory_order_relaxed);
-  out.trace_requests = a.trace_requests.load(std::memory_order_relaxed);
   out.events_requests = a.events_requests.load(std::memory_order_relaxed);
   out.bytes_in = a.bytes_in.load(std::memory_order_relaxed);
   out.bytes_out = a.bytes_out.load(std::memory_order_relaxed);

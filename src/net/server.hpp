@@ -3,8 +3,7 @@
 // One event-loop thread owns every socket: it accepts connections, reads
 // and reassembles frames (net/wire.hpp), and hands decoded REQUEST
 // messages to the registered handler.  The readiness loop is epoll
-// edge-triggered on Linux (a portable poll() fallback sits behind the
-// RLB_NET_EPOLL CMake option); read, accept and write paths all drain to
+// edge-triggered (Linux only); read, accept and write paths all drain to
 // EAGAIN as edge-triggering requires.
 //
 // There is no global lock on the data path.  Responses are pushed from
@@ -31,7 +30,6 @@
 
 #include "net/events_wire.hpp"
 #include "net/stats.hpp"
-#include "net/trace_wire.hpp"
 #include "net/wire.hpp"
 
 namespace rlb::net {
@@ -61,8 +59,6 @@ struct ServerStats {
   std::uint64_t responses_sent = 0;
   /// STATS admin frames served.
   std::uint64_t stats_requests = 0;
-  /// TRACE admin frames served.
-  std::uint64_t trace_requests = 0;
   /// EVENTS admin frames served.
   std::uint64_t events_requests = 0;
   std::uint64_t bytes_in = 0;
@@ -97,15 +93,10 @@ using RequestBatchHandler =
 using StatsHandler =
     std::function<void(std::uint64_t conn_token, const StatsRequestMsg&)>;
 
-/// Called on the event-loop thread for every decoded TRACE frame.  The
-/// handler answers with send_trace(); draining the span recorder takes a
-/// few uncontended mutexes, cheap enough for the loop thread.
-using TraceHandler =
-    std::function<void(std::uint64_t conn_token, const TraceRequestMsg&)>;
-
 /// Called on the event-loop thread for every decoded EVENTS frame.  The
 /// handler answers with send_events(); building a batch is a short
-/// cursor read of the journal ring, cheap enough for the loop thread.
+/// cursor read of the requested ring (a few uncontended mutexes), cheap
+/// enough for the loop thread.
 using EventsHandler =
     std::function<void(std::uint64_t conn_token, const EventsRequestMsg&)>;
 
@@ -161,14 +152,6 @@ class NetServer {
   /// false when the connection is gone or the encoded snapshot exceeds
   /// kMaxFramePayload (the frame is dropped, connection left alone).
   bool send_stats(std::uint64_t conn_token, const StatsSnapshot& snapshot);
-
-  /// Install the TRACE admin handler.  Call before start(); without one,
-  /// inbound TRACE frames are protocol errors (connection closed).
-  void set_trace_handler(TraceHandler on_trace);
-
-  /// Queue a TRACE_RESP span snapshot for delivery.  Thread-safe; same
-  /// semantics as send_stats().
-  bool send_trace(std::uint64_t conn_token, const TraceSnapshot& snapshot);
 
   /// Install the EVENTS admin handler.  Call before start(); without one,
   /// inbound EVENTS frames are protocol errors (connection closed).

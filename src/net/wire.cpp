@@ -101,24 +101,6 @@ bool encode_stats_response_frame(const std::vector<std::uint8_t>& payload,
   return true;
 }
 
-void encode_trace_request(const TraceRequestMsg& msg,
-                          std::vector<std::uint8_t>& out) {
-  put_u32(out, static_cast<std::uint32_t>(kTracePayloadSize));
-  out.push_back(static_cast<std::uint8_t>(MsgType::kTrace));
-  put_u32(out, msg.flags);
-}
-
-bool encode_trace_response_frame(const std::vector<std::uint8_t>& payload,
-                                 std::vector<std::uint8_t>& out) {
-  if (payload.empty() || payload.size() > kMaxFramePayload) return false;
-  if (payload[0] != static_cast<std::uint8_t>(MsgType::kTraceResponse)) {
-    return false;
-  }
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  return true;
-}
-
 void encode_events_request(const EventsRequestMsg& msg,
                            std::vector<std::uint8_t>& out) {
   put_u32(out, static_cast<std::uint32_t>(kEventsPayloadSize));
@@ -252,8 +234,7 @@ std::uint64_t migrate_checksum(const std::uint8_t* data,
 
 Decoded decode_payload(const std::uint8_t* data, std::size_t size,
                        RequestMsg& request, ResponseMsg& response,
-                       StatsRequestMsg& stats, TraceRequestMsg& trace,
-                       EventsRequestMsg& events) {
+                       StatsRequestMsg& stats, EventsRequestMsg& events) {
   if (size == 0) return Decoded::kMalformed;
   switch (static_cast<MsgType>(data[0])) {
     case MsgType::kRequest:
@@ -300,15 +281,6 @@ Decoded decode_payload(const std::uint8_t* data, std::size_t size,
       // type byte.
       if (size < 5) return Decoded::kMalformed;
       return Decoded::kStatsResponse;
-    case MsgType::kTrace:
-      if (size != kTracePayloadSize) return Decoded::kMalformed;
-      trace.flags = get_u32(data + 1);
-      return Decoded::kTrace;
-    case MsgType::kTraceResponse:
-      // Versioned span blob parsed by net/trace_wire.hpp; classify only,
-      // requiring room for the version word.
-      if (size < 5) return Decoded::kMalformed;
-      return Decoded::kTraceResponse;
     case MsgType::kMigrate:
       // Repair-plane bodies allocate (host string, payload vector), so
       // they are classified here and parsed on demand by decode_migrate*.
@@ -324,9 +296,10 @@ Decoded decode_payload(const std::uint8_t* data, std::size_t size,
       if (size != kEventsPayloadSize) return Decoded::kMalformed;
       events.flags = get_u32(data + 1);
       events.cursor = get_u64(data + 5);
+      if (events.ring() > RingId::kSpans) return Decoded::kMalformed;
       return Decoded::kEvents;
     case MsgType::kEventsResponse:
-      // Versioned event batch parsed by net/events_wire.hpp; classify
+      // Versioned ring batch parsed by net/events_wire.hpp; classify
       // only, requiring room for the version word.
       if (size < 5) return Decoded::kMalformed;
       return Decoded::kEventsResponse;
@@ -336,27 +309,17 @@ Decoded decode_payload(const std::uint8_t* data, std::size_t size,
 
 Decoded decode_payload(const std::uint8_t* data, std::size_t size,
                        RequestMsg& request, ResponseMsg& response,
-                       StatsRequestMsg& stats, TraceRequestMsg& trace) {
-  EventsRequestMsg scratch;
-  return decode_payload(data, size, request, response, stats, trace, scratch);
-}
-
-Decoded decode_payload(const std::uint8_t* data, std::size_t size,
-                       RequestMsg& request, ResponseMsg& response,
                        StatsRequestMsg& stats) {
-  TraceRequestMsg trace_scratch;
   EventsRequestMsg events_scratch;
-  return decode_payload(data, size, request, response, stats, trace_scratch,
-                        events_scratch);
+  return decode_payload(data, size, request, response, stats, events_scratch);
 }
 
 Decoded decode_payload(const std::uint8_t* data, std::size_t size,
                        RequestMsg& request, ResponseMsg& response) {
   StatsRequestMsg stats_scratch;
-  TraceRequestMsg trace_scratch;
   EventsRequestMsg events_scratch;
   return decode_payload(data, size, request, response, stats_scratch,
-                        trace_scratch, events_scratch);
+                        events_scratch);
 }
 
 void FrameDecoder::poison() noexcept {

@@ -14,9 +14,6 @@
 //   STATS      (client -> rlbd):  u8 type=3, u32 flags (reserved, send 0)
 //   STATS_RESP (rlbd -> client):  u8 type=4, versioned snapshot blob
 //                                 (see net/stats.hpp for the layout)
-//   TRACE      (client -> rlbd):  u8 type=5, u32 flags (reserved, send 0)
-//   TRACE_RESP (rlbd -> client):  u8 type=6, versioned span blob
-//                                 (see net/trace_wire.hpp for the layout)
 //   MIGRATE    (coordinator -> source rlbd):
 //                                 u8 type=7, u64 migration_id, u64 chunk,
 //                                 u64 epoch, u32 target_backend, u64 bytes,
@@ -28,11 +25,16 @@
 //   MIGRATE_ACK  (rlbd -> sender):
 //                                 u8 type=9, u64 migration_id, u8 status,
 //                                 u64 bytes
-//   EVENTS     (client -> daemon): u8 type=10, u32 flags (reserved,
-//                                 send 0), u64 cursor (last-seen journal
-//                                 sequence; 0 = from the oldest retained)
-//   EVENTS_RESP (daemon -> client): u8 type=11, versioned event batch
+//   EVENTS     (client -> daemon): u8 type=10, u32 flags (low byte =
+//                                 ring: 0 journal, 1 spans; the rest
+//                                 reserved, send 0), u64 cursor (last-seen
+//                                 ring sequence; 0 = from the oldest
+//                                 retained)
+//   EVENTS_RESP (daemon -> client): u8 type=11, versioned ring batch
 //                                 (see net/events_wire.hpp for the layout)
+//
+// Types 5 and 6 are retired: never reuse them.  They decode as malformed,
+// like any unknown type.
 //
 // The REQUEST trace extension is optional and version-free by size: a
 // 17-byte payload is the v1 frame (no context), a 34-byte payload appends
@@ -73,8 +75,7 @@ enum class MsgType : std::uint8_t {
   kResponse = 2,
   kStats = 3,
   kStatsResponse = 4,
-  kTrace = 5,
-  kTraceResponse = 6,
+  // 5 and 6 are retired (see the file comment).
   kMigrate = 7,
   kMigrateData = 8,
   kMigrateAck = 9,
@@ -135,22 +136,26 @@ struct StatsRequestMsg {
   std::uint64_t epoch = 0;
 };
 
-/// Admin request draining the daemon's span flight recorder.  `flags` is
-/// reserved (always send 0); a TRACE always drains, so scrapers loop until
-/// an empty TRACE_RESP comes back.
-struct TraceRequestMsg {
-  std::uint32_t flags = 0;
+/// The sequenced rings an EVENTS request can read.
+enum class RingId : std::uint8_t {
+  /// The control-plane event journal (obs/journal.hpp).
+  kJournal = 0,
+  /// The span flight recorder (obs/span.hpp).
+  kSpans = 1,
 };
 
-/// Admin request for the control-plane event journal (obs/journal.hpp).
-/// `cursor` is the highest journal sequence the scraper has already seen
-/// (0 on first contact); the daemon answers with events AFTER it, reads
-/// are non-destructive, and the reply's next_cursor resumes the stream —
-/// so any number of scrapers (and `rlb_stat --events --follow`) drain
-/// independently.  `flags` is reserved (send 0).
+/// Admin request for one of the daemon's sequenced rings.  `cursor` is the
+/// highest ring sequence the scraper has already seen (0 on first
+/// contact); the daemon answers with records AFTER it, reads are
+/// non-destructive, and the reply's next_cursor resumes the stream — so
+/// any number of scrapers (and `rlb_stat --events --follow`) read
+/// independently.  The low byte of `flags` names the ring (a RingId); the
+/// upper bytes are reserved (send 0).
 struct EventsRequestMsg {
   std::uint32_t flags = 0;
   std::uint64_t cursor = 0;
+
+  RingId ring() const noexcept { return static_cast<RingId>(flags & 0xff); }
 };
 
 /// Repair-plane order from the coordinator to the backend currently
@@ -199,7 +204,6 @@ inline constexpr std::size_t kResponsePayloadSize = 18;
 inline constexpr std::size_t kStatsPayloadSize = 5;
 /// STATS with the placement-epoch extension appended.
 inline constexpr std::size_t kStatsEpochPayloadSize = 13;
-inline constexpr std::size_t kTracePayloadSize = 5;
 inline constexpr std::size_t kEventsPayloadSize = 13;
 /// MIGRATE before the variable-length target host bytes.
 inline constexpr std::size_t kMigrateHeaderSize = 41;
@@ -215,16 +219,10 @@ void encode_request(const RequestMsg& msg, std::vector<std::uint8_t>& out);
 void encode_response(const ResponseMsg& msg, std::vector<std::uint8_t>& out);
 void encode_stats_request(const StatsRequestMsg& msg,
                           std::vector<std::uint8_t>& out);
-void encode_trace_request(const TraceRequestMsg& msg,
-                          std::vector<std::uint8_t>& out);
 /// Frame an already-encoded STATS_RESP payload (type byte included — see
 /// net/stats.hpp encode_stats_payload).  Returns false (and appends
 /// nothing) when the payload exceeds kMaxFramePayload.
 bool encode_stats_response_frame(const std::vector<std::uint8_t>& payload,
-                                 std::vector<std::uint8_t>& out);
-/// Same for a TRACE_RESP payload (see net/trace_wire.hpp
-/// encode_trace_payload).
-bool encode_trace_response_frame(const std::vector<std::uint8_t>& payload,
                                  std::vector<std::uint8_t>& out);
 void encode_events_request(const EventsRequestMsg& msg,
                            std::vector<std::uint8_t>& out);
@@ -263,17 +261,13 @@ enum class Decoded : std::uint8_t {
   /// A STATS_RESP frame.  decode_payload only classifies it; the snapshot
   /// body is parsed separately (net/stats.hpp decode_stats_payload).
   kStatsResponse,
-  kTrace,
-  /// A TRACE_RESP frame; classified only, parsed by net/trace_wire.hpp
-  /// decode_trace_payload.
-  kTraceResponse,
   /// Repair-plane frames: classified only (size-sanity checked); bodies
   /// are parsed by decode_migrate / decode_migrate_data /
   /// decode_migrate_ack.
   kMigrate,
   kMigrateData,
   kMigrateAck,
-  /// An EVENTS journal request.
+  /// An EVENTS ring read.
   kEvents,
   /// An EVENTS_RESP frame; classified only, parsed by
   /// net/events_wire.hpp decode_events_payload.
@@ -282,19 +276,13 @@ enum class Decoded : std::uint8_t {
 };
 
 /// Decode one frame payload (no length prefix).  At most one of
-/// `request` / `response` / `stats` / `trace` / `events` is filled on
-/// success.
+/// `request` / `response` / `stats` / `events` is filled on success.  An
+/// EVENTS frame naming an unknown ring is malformed.
 Decoded decode_payload(const std::uint8_t* data, std::size_t size,
                        RequestMsg& request, ResponseMsg& response,
-                       StatsRequestMsg& stats, TraceRequestMsg& trace,
-                       EventsRequestMsg& events);
+                       StatsRequestMsg& stats, EventsRequestMsg& events);
 
-/// Without the EVENTS out-param: EVENTS frames classify but fill nothing.
-Decoded decode_payload(const std::uint8_t* data, std::size_t size,
-                       RequestMsg& request, ResponseMsg& response,
-                       StatsRequestMsg& stats, TraceRequestMsg& trace);
-
-/// STATS-only admin form: TRACE frames classify but fill nothing.
+/// STATS-only admin form: EVENTS frames classify but fill nothing.
 Decoded decode_payload(const std::uint8_t* data, std::size_t size,
                        RequestMsg& request, ResponseMsg& response,
                        StatsRequestMsg& stats);

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -84,25 +85,62 @@ void SpanRecorder::record(const Span& span) {
   }
   Ring& ring = local_ring();
   std::lock_guard lock(ring.mutex);
-  if (ring.spans.size() >= ring.capacity) {
-    ring.spans.pop_front();
-    ++ring.overwritten;
-  }
+  if (ring.spans.size() >= ring.capacity) ring.spans.pop_front();
   ring.spans.push_back(span);
+  ring.spans.back().seq = next_seq_.fetch_add(1);
+}
+
+JournalReadResult SpanRecorder::read_from(std::uint64_t cursor,
+                                          std::size_t max,
+                                          std::vector<Span>& out) const {
+  // Snapshot the counter first: every seq below `end` is then stored or
+  // evicted by the time we hold its ring's lock (its writer took the seq
+  // under that lock), so the seq-ordered merge below never steps over a
+  // span a late writer has yet to store.
+  const std::uint64_t end = next_seq_.load();
+  JournalReadResult result;
+  result.next_cursor = cursor;
+  if (cursor >= end - 1) return result;  // nothing past the cursor yet
+  const auto after = [](std::uint64_t seq, const Span& s) {
+    return seq < s.seq;
+  };
+  // Each ring contributes at most its `max` oldest unread spans: only the
+  // `max` smallest seqs overall can make the batch.
+  std::vector<Span> merged;
+  std::uint64_t unread = 0;
+  {
+    std::lock_guard registry_lock(registry_mutex_);
+    for (const std::unique_ptr<Ring>& ring : rings_) {
+      std::lock_guard lock(ring->mutex);
+      const auto first = std::upper_bound(ring->spans.begin(),
+                                          ring->spans.end(), cursor, after);
+      const auto last =
+          std::upper_bound(first, ring->spans.end(), end - 1, after);
+      unread += static_cast<std::uint64_t>(last - first);
+      merged.insert(merged.end(), first,
+                    first + std::min<std::ptrdiff_t>(
+                                last - first,
+                                static_cast<std::ptrdiff_t>(max)));
+    }
+  }
+  std::sort(merged.begin(), merged.end(),
+            [](const Span& a, const Span& b) { return a.seq < b.seq; });
+  const std::size_t take = std::min(max, merged.size());
+  out.insert(out.end(), merged.begin(), merged.begin() + take);
+  if (take == unread) {
+    result.next_cursor = end - 1;  // everything below the snapshot is seen
+  } else if (take > 0) {
+    result.next_cursor = merged[take - 1].seq;
+  }
+  result.remaining = unread - take;
+  result.dropped = result.next_cursor - cursor - take;
+  return result;
 }
 
 std::vector<Span> SpanRecorder::drain(std::size_t max_spans) {
   std::vector<Span> out;
-  out.reserve(std::min<std::size_t>(max_spans, 1024));
-  std::lock_guard registry_lock(registry_mutex_);
-  for (const std::unique_ptr<Ring>& ring : rings_) {
-    if (out.size() >= max_spans) break;
-    std::lock_guard lock(ring->mutex);
-    while (!ring->spans.empty() && out.size() < max_spans) {
-      out.push_back(ring->spans.front());
-      ring->spans.pop_front();
-    }
-  }
+  std::lock_guard lock(drain_mutex_);
+  drain_cursor_ = read_from(drain_cursor_, max_spans, out).next_cursor;
   return out;
 }
 
@@ -126,29 +164,19 @@ std::size_t SpanRecorder::size() const {
   return total;
 }
 
-std::uint64_t SpanRecorder::dropped() const {
-  std::uint64_t total = 0;
-  std::lock_guard registry_lock(registry_mutex_);
-  for (const std::unique_ptr<Ring>& ring : rings_) {
-    std::lock_guard lock(ring->mutex);
-    total += ring->overwritten;
-  }
-  return total;
-}
-
 void SpanRecorder::set_ring_capacity(std::size_t capacity) noexcept {
   ring_capacity_.store(capacity == 0 ? 1 : capacity,
                        std::memory_order_relaxed);
 }
 
 void SpanRecorder::clear() {
-  std::lock_guard registry_lock(registry_mutex_);
+  std::scoped_lock locks(drain_mutex_, registry_mutex_);
   for (const std::unique_ptr<Ring>& ring : rings_) {
     std::lock_guard lock(ring->mutex);
     ring->spans.clear();
-    ring->overwritten = 0;
   }
   filtered_.store(0, std::memory_order_relaxed);
+  drain_cursor_ = next_seq_.load() - 1;
 }
 
 // -- JSONL persistence ----------------------------------------------------
@@ -204,14 +232,16 @@ bool span_u64_field(const std::string& line, const std::string& key,
   return end != p;
 }
 
-const char* intern_span_name(const std::string& name) {
-  static std::mutex mutex;
-  static std::set<std::string> pool;
-  std::lock_guard lock(mutex);
-  return pool.insert(name).first->c_str();
-}
-
 }  // namespace
+
+const char* intern_span_name(std::string_view name) {
+  static std::mutex mutex;
+  static std::set<std::string, std::less<>> pool;
+  std::lock_guard lock(mutex);
+  auto it = pool.find(name);
+  if (it == pool.end()) it = pool.emplace(name).first;
+  return it->c_str();
+}
 
 void write_spans_jsonl(const std::vector<Span>& spans, std::ostream& os,
                        std::uint64_t steady_ns, std::uint64_t wall_ns) {

@@ -15,7 +15,11 @@
 //   * SpanRecorder — a process-global flight recorder of completed spans.
 //     Each recording thread owns a bounded ring guarded by its own mutex
 //     (uncontended in the common case: the only other locker is a rare
-//     TRACE scrape), so recording never contends across worker shards.
+//     EVENTS scrape), so recording never contends across worker shards.
+//     Every kept span takes a process-wide sequence number, and readers
+//     resume by cursor exactly like the control-plane journal
+//     (obs/journal.hpp): reads never remove spans, so any number of
+//     scrapers each see every kept span.
 //
 // Sampling is tail-based at the recorder: a span is kept when its context
 // carries the sampled flag (head sampling, decided once by the client and
@@ -34,7 +38,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "obs/journal.hpp"
 
 namespace rlb::obs {
 
@@ -58,8 +65,11 @@ struct TraceContext {
 /// One completed span.  `name` must be a string literal (or otherwise
 /// outlive the recorder), like TraceEvent.  Timestamps are obs::now_ns()
 /// — steady-clock ns since *this* process started; cross-process merging
-/// needs a clock anchor (see net/trace_wire.hpp and rlb_trace).
+/// needs a clock anchor (see net/events_wire.hpp and rlb_stat --spans).
 struct Span {
+  /// Process-wide sequence number the recorder assigned when it kept the
+  /// span (1-based; 0 = never recorded).
+  std::uint64_t seq = 0;
   std::uint64_t trace_id = 0;
   std::uint64_t span_id = 0;
   std::uint64_t parent_span_id = 0;
@@ -86,9 +96,16 @@ class SpanRecorder {
   /// Dropped spans are counted in filtered().
   void record(const Span& span);
 
-  /// Remove and return up to `max_spans` oldest-first spans (per ring;
-  /// rings are visited in registration order).  Used by the TRACE wire
-  /// channel to drain buffers in frame-sized chunks.
+  /// Copy up to `max` kept spans with seq > `cursor` into `out`
+  /// (appended), in seq order.  Non-destructive and thread-safe; the
+  /// result's next_cursor resumes the stream and its dropped count covers
+  /// spans evicted from a full ring before this reader saw them.
+  JournalReadResult read_from(std::uint64_t cursor, std::size_t max,
+                              std::vector<Span>& out) const;
+
+  /// Up to `max_spans` spans recorded since the previous drain(), oldest
+  /// first: read_from() with a cursor the recorder owns.  In-process
+  /// collectors (benches, tests) loop until it returns nothing.
   std::vector<Span> drain(std::size_t max_spans);
 
   /// Copy every buffered span without removing it.
@@ -97,8 +114,6 @@ class SpanRecorder {
   /// Spans still buffered across all thread rings.
   std::size_t size() const;
 
-  /// Spans evicted because a ring was full.
-  std::uint64_t dropped() const;
   /// Spans dropped by the keep policy (unsampled, fast, served OK).
   std::uint64_t filtered() const noexcept {
     return filtered_.load(std::memory_order_relaxed);
@@ -116,15 +131,15 @@ class SpanRecorder {
   /// Per-thread ring capacity for rings created after the call.
   void set_ring_capacity(std::size_t capacity) noexcept;
 
-  /// Drop all buffered spans and reset counters (tests).
+  /// Drop all buffered spans and reset the filtered count; the next
+  /// drain() starts after the spans dropped here (tests).
   void clear();
 
  private:
   struct Ring {
     mutable std::mutex mutex;
-    std::deque<Span> spans;
+    std::deque<Span> spans;  ///< seq-ascending
     std::size_t capacity = 0;
-    std::uint64_t overwritten = 0;
   };
 
   SpanRecorder() = default;
@@ -132,6 +147,12 @@ class SpanRecorder {
 
   mutable std::mutex registry_mutex_;
   std::vector<std::unique_ptr<Ring>> rings_;
+  /// The seq the next kept span takes.  Taken inside the ring lock, so a
+  /// reader that loads it first finds every smaller seq already stored
+  /// (or evicted) once it holds that ring's lock.
+  std::atomic<std::uint64_t> next_seq_{1};
+  std::mutex drain_mutex_;
+  std::uint64_t drain_cursor_ = 0;  ///< guarded by drain_mutex_
   std::atomic<std::size_t> ring_capacity_{1u << 14};
   std::atomic<std::uint64_t> slow_budget_ns_{0};
   std::atomic<std::uint64_t> filtered_{0};
@@ -154,7 +175,7 @@ inline bool span_recording_enabled() noexcept {
 }
 
 /// Enable/disable span recording (independent of the event-trace switch:
-/// a daemon serves TRACE scrapes even when --trace is off).
+/// a daemon serves span scrapes even when --trace is off).
 void set_span_recording(bool on) noexcept;
 
 /// Process-unique-ish 64-bit id for a new span or trace: a per-process
@@ -168,7 +189,7 @@ std::uint64_t next_span_id() noexcept;
 // line is written first:
 //   {"anchor":1,"steady_ns":...,"wall_ns":...}
 // pairing this process's steady epoch with the wall clock so offline
-// mergers (rlb_trace) can place the spans on a shared time axis.
+// mergers (rlb_stat --spans) can place the spans on a shared time axis.
 
 void write_spans_jsonl(const std::vector<Span>& spans, std::ostream& os,
                        std::uint64_t steady_ns = 0, std::uint64_t wall_ns = 0);
@@ -180,6 +201,10 @@ void write_spans_jsonl(const std::vector<Span>& spans, std::ostream& os,
 std::vector<Span> parse_spans_jsonl(std::istream& is,
                                     std::uint64_t& anchor_steady_ns,
                                     std::uint64_t& anchor_wall_ns);
+
+/// A process-lifetime copy of `name`, for spans decoded from bytes (JSONL,
+/// the wire) whose name must outlive the buffer it came from.
+const char* intern_span_name(std::string_view name);
 
 /// Wall-clock ns since the Unix epoch (system_clock) — the other half of
 /// a clock anchor.

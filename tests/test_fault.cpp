@@ -82,6 +82,21 @@ TEST(ScriptedFailureSchedule, AppliesEventsAtTheirStep) {
   EXPECT_TRUE(out[1].up);
 }
 
+TEST(ScriptedFailureSchedule, ReportsWhetherACrashIsEverUndone) {
+  const core::ScriptedFailureSchedule schedule({
+      {/*step=*/2, /*server=*/0, /*up=*/false},
+      {/*step=*/5, /*server=*/0, /*up=*/true},
+      {/*step=*/2, /*server=*/1, /*up=*/false},
+  });
+  EXPECT_TRUE(schedule.recovers(0, 2));
+  EXPECT_FALSE(schedule.recovers(0, 5));  // the recovery is not later
+  EXPECT_FALSE(schedule.recovers(1, 2));  // never comes back
+
+  EXPECT_TRUE(core::BernoulliFailureSchedule(0.1, 4.0, 1).recovers(0, 0));
+  EXPECT_FALSE(core::BernoulliFailureSchedule(0.1, 0.0, 1).recovers(0, 0));
+  EXPECT_FALSE(core::RackFailureSchedule(2, 0.1, 0.0, 1).recovers(0, 0));
+}
+
 TEST(ScriptedFailureSchedule, IgnoresOutOfRangeServers) {
   core::ScriptedFailureSchedule schedule({{0, /*server=*/9, false}});
   std::vector<std::uint8_t> up(2, 1);

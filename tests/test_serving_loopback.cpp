@@ -35,6 +35,10 @@ struct ClientTally {
   std::set<std::uint64_t> answered_ids;
 };
 
+/// A response gap this long means the stack lost requests: fail the test
+/// instead of blocking ctest forever.
+constexpr std::uint64_t kRecvTimeoutMs = 10'000;
+
 /// Closed-loop worker: keeps `concurrency` requests outstanding until
 /// `quota` are answered, recording every response id.
 void run_client(std::uint16_t port, std::uint64_t quota,
@@ -42,6 +46,7 @@ void run_client(std::uint16_t port, std::uint64_t quota,
                 std::uint64_t seed, ClientTally& tally) {
   net::Client client;
   client.connect("127.0.0.1", port);
+  client.set_recv_timeout_ms(kRecvTimeoutMs);
   stats::Rng rng(seed);
   std::uint64_t next_id = id_base;
   std::uint64_t sent = 0;
@@ -56,7 +61,15 @@ void run_client(std::uint16_t port, std::uint64_t quota,
   }
   client.flush();
   net::ResponseMsg response;
-  while (completed < quota && client.read_response(response)) {
+  while (completed < quota) {
+    const net::ReadOutcome outcome = client.try_read_response(response);
+    if (outcome == net::ReadOutcome::kTimeout) {
+      ADD_FAILURE() << sent - completed << " of " << sent
+                    << " sent ids unanswered after " << kRecvTimeoutMs
+                    << " ms without a response";
+      break;
+    }
+    if (outcome != net::ReadOutcome::kFrame) break;
     if (response.request_id < id_base || response.request_id >= next_id ||
         !tally.answered_ids.insert(response.request_id).second) {
       ++tally.protocol_errors;
