@@ -27,9 +27,9 @@
 #include <chrono>
 #include <csignal>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -415,150 +415,64 @@ void run_worker_open_loop(const Options& options, std::size_t worker,
   client.close();
 }
 
-void usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0 << " [flags]\n"
-      << "  --host <addr>          server address (default 127.0.0.1)\n"
-      << "  --port <p>             server port (default 4117)\n"
-      << "  --connections <c>      client connections/threads (default 4)\n"
-      << "  --concurrency <k>      outstanding requests per connection\n"
-      << "                         (closed loop only)\n"
-      << "  --requests <n>         total requests across connections\n"
-      << "  --rate <rps>           open loop: offered load in req/s, split\n"
-      << "                         across connections; latency is measured\n"
-      << "                         from each request's scheduled send time\n"
-      << "  --drain-ms <ms>        open loop: wait this long for stragglers\n"
-      << "                         after the schedule ends (default 2000)\n"
-      << "  --workload <name>      uniform|fresh|repeated-set|zipf|trace\n"
-      << "  --keys <n>             key universe (default 2^20)\n"
-      << "  --set-size <n>         repeated-set size |S|\n"
-      << "  --zipf-s <s>           zipf exponent (default 0.99)\n"
-      << "  --trace-file <path>    trace for --workload trace (text or\n"
-      << "                         binary format, auto-detected)\n"
-      << "  --seed <s>             master seed (default 1)\n"
-      << "  --json <path>          also write the summary as JSON\n"
-      << "  --trace-sample <p>     put a trace context on every request and\n"
-      << "                         head-sample this fraction of them [0,1]\n"
-      << "  --span-file <path>     write client.request root spans (JSONL\n"
-      << "                         with a clock anchor) for rlb_stat --spans\n"
-      << "  (plus --probes / --trace <path> from the obs layer)\n";
-}
-
-bool parse_u64_flag(const char* name, const std::string& value,
-                    std::uint64_t& out) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long long parsed = std::stoull(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    out = parsed;
-    return true;
-  } catch (const std::exception&) {
-    std::cerr << "rlb_loadgen: bad value for " << name << ": '" << value
-              << "'\n";
-    return false;
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Route through the shared obs init path (--trace / --probes /
-  // RLB_TRACE...) like rlbd, but hide our own --json from it: the loadgen
-  // writes its summary JSON itself, and the harness's at-exit document
-  // would clobber it.
-  {
-    std::vector<char*> obs_argv;
-    obs_argv.reserve(static_cast<std::size_t>(argc));
-    for (int i = 0; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-        ++i;
-        continue;
-      }
-      obs_argv.push_back(argv[i]);
-    }
-    harness::init_output(static_cast<int>(obs_argv.size()), obs_argv.data());
-  }
-
   Options options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const bool has_value = i + 1 < argc;
-    auto value = [&]() -> std::string { return argv[++i]; };
-    std::uint64_t u64 = 0;
-    if (flag == "--help" || flag == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else if (flag == "--host" && has_value) {
-      options.host = value();
-    } else if (flag == "--port" && has_value) {
-      if (!parse_u64_flag("--port", value(), u64) || u64 > 65535) return 2;
-      options.port = static_cast<std::uint16_t>(u64);
-    } else if (flag == "--connections" && has_value) {
-      if (!parse_u64_flag("--connections", value(), u64) || u64 == 0) return 2;
-      options.connections = static_cast<std::size_t>(u64);
-    } else if (flag == "--concurrency" && has_value) {
-      if (!parse_u64_flag("--concurrency", value(), u64) || u64 == 0) return 2;
-      options.concurrency = static_cast<std::size_t>(u64);
-    } else if (flag == "--requests" && has_value) {
-      if (!parse_u64_flag("--requests", value(), u64)) return 2;
-      options.requests = u64;
-    } else if (flag == "--rate" && has_value) {
-      try {
-        options.rate = std::stod(value());
-      } catch (const std::exception&) {
-        options.rate = -1.0;
-      }
-      if (options.rate <= 0.0) {
-        std::cerr << "rlb_loadgen: --rate needs a positive req/s value\n";
-        return 2;
-      }
-    } else if (flag == "--drain-ms" && has_value) {
-      if (!parse_u64_flag("--drain-ms", value(), u64)) return 2;
-      options.drain_ms = u64;
-    } else if (flag == "--workload" && has_value) {
-      options.workload = value();
-    } else if (flag == "--keys" && has_value) {
-      if (!parse_u64_flag("--keys", value(), u64) || u64 == 0) return 2;
-      options.keys = u64;
-    } else if (flag == "--set-size" && has_value) {
-      if (!parse_u64_flag("--set-size", value(), u64)) return 2;
-      options.set_size = static_cast<std::size_t>(u64);
-    } else if (flag == "--zipf-s" && has_value) {
-      try {
-        options.zipf_s = std::stod(value());
-      } catch (const std::exception&) {
-        std::cerr << "rlb_loadgen: bad --zipf-s\n";
-        return 2;
-      }
-    } else if (flag == "--trace-file" && has_value) {
-      options.trace_path = value();
-    } else if (flag == "--seed" && has_value) {
-      if (!parse_u64_flag("--seed", value(), u64)) return 2;
-      options.seed = u64;
-    } else if (flag == "--json" && has_value) {
-      options.json_path = value();
-    } else if (flag == "--trace-sample" && has_value) {
-      try {
-        options.trace_sample = std::stod(value());
-      } catch (const std::exception&) {
-        options.trace_sample = -1.0;
-      }
-      if (options.trace_sample < 0.0 || options.trace_sample > 1.0) {
-        std::cerr << "rlb_loadgen: --trace-sample needs a value in [0,1]\n";
-        return 2;
-      }
-    } else if (flag == "--span-file" && has_value) {
-      options.span_file = value();
-    } else if (flag == "--format" || flag == "--trace") {
-      ++i;  // consumed by init_output
-    } else if (flag == "--probes" || flag == "--trace-detail") {
-      // consumed by init_output
-    } else {
-      std::cerr << "rlb_loadgen: unknown flag '" << flag << "'\n";
-      usage(argv[0]);
-      return 2;
-    }
-  }
+  harness::Flags flags("Load generator for rlbd and rlb_router.");
+  flags.text("--host", "addr", "server address", options.host)
+      .num("--port", "p", "server port", options.port)
+      .num("--connections", "c", "client connections/threads",
+           options.connections, 1)
+      .num("--concurrency", "k",
+           "outstanding requests per connection (closed loop only)",
+           options.concurrency, 1)
+      .num("--requests", "n", "total requests across connections",
+           options.requests)
+      .custom("--rate", "rps",
+              "open loop: offered load in req/s, split across\n"
+              "connections; latency is measured from each request's\n"
+              "scheduled send time",
+              "",
+              [&options](const std::string& value) {
+                std::string why = harness::parse_number(
+                    value, 0.0, std::numeric_limits<double>::max(),
+                    options.rate);
+                if (why.empty() && options.rate <= 0.0) {
+                  why = "needs a positive req/s value";
+                }
+                return why;
+              })
+      .num("--drain-ms", "ms",
+           "open loop: wait this long for stragglers after\n"
+           "the schedule ends",
+           options.drain_ms)
+      .text("--workload", "name", "uniform|fresh|repeated-set|zipf|trace",
+            options.workload)
+      .num("--keys", "n", "key universe", options.keys, 1)
+      .num("--set-size", "n", "repeated-set size |S|; 0 = keys per batch cap",
+           options.set_size)
+      .num("--zipf-s", "s", "zipf exponent", options.zipf_s,
+           std::numeric_limits<double>::lowest())
+      .text("--trace-file", "path",
+            "trace for --workload trace (text or binary\n"
+            "format, auto-detected)",
+            options.trace_path)
+      .num("--seed", "s", "master seed", options.seed)
+      .text("--json", "path", "also write the summary as JSON",
+            options.json_path)
+      .num("--trace-sample", "p",
+           "put a trace context on every request and\n"
+           "head-sample this fraction of them",
+           options.trace_sample, 0.0, 1.0)
+      .text("--span-file", "path",
+            "write client.request root spans (JSONL with a\n"
+            "clock anchor) for rlb_stat --spans",
+            options.span_file);
+  // The loadgen writes its own summary JSON, so the harness's --json (an
+  // at-exit table document) stays out of its table.
+  harness::add_output_flags(flags, /*json=*/false);
+  flags.parse(argc, argv);
 
   if (!options.span_file.empty()) {
     // Enables span recording and registers an at-exit flush; we also flush

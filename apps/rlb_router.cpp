@@ -32,171 +32,81 @@ void handle_signal(int) { g_stop_requested = 1; }
 
 void handle_dump_signal(int) { g_dump_requested = 1; }
 
-void usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0 << " --backends <host:port,...> [flags]\n"
-      << "  --backends <list>      rlbd endpoints, comma separated (required)\n"
-      << "  --d <replication>      candidate backends per chunk (default 2)\n"
-      << "  --chunks <n>           chunk count for the key hash (default 2^16)\n"
-      << "  --seed <s>             placement seed (default 1)\n"
-      << "  --port <p>             listen port; 0 = ephemeral (default 4116)\n"
-      << "  --host <addr>          bind address (default 127.0.0.1)\n"
-      << "  --heartbeat-ms <ms>    STATS ping period per backend (default 100)\n"
-      << "  --heartbeat-timeout-ms <ms>\n"
-      << "                         ping reply deadline (default 100)\n"
-      << "  --miss-threshold <n>   consecutive misses -> mark-down (default 3)\n"
-      << "  --probation <n>        consecutive successes -> mark-up (default 2)\n"
-      << "  --timeout-ms <ms>      per-hop response deadline (default 2000)\n"
-      << "  --max-attempts <n>     forward attempts per request; 0 = d\n"
-      << "  --repair               enable the self-healing repair plane\n"
-      << "  --repair-concurrent <n>    max concurrent migrations (default 2)\n"
-      << "  --repair-bytes-per-sec <n> repair byte budget; 0=unthrottled\n"
-      << "                             (default 8 MiB/s)\n"
-      << "  --repair-chunk-bytes <n>   nominal state per chunk (default 4096)\n"
-      << "  --repair-grace-ms <ms>     down time before repair starts\n"
-      << "                             (default 300)\n"
-      << "  --repair-timeout-ms <ms>   per-migration deadline (default 2000)\n"
-      << "  --repair-scan-ms <ms>      planner scan period (default 100)\n"
-      << "  --span-slow-us <us>    keep unsampled spans slower than this\n"
-      << "                         (tail sampling; 0 = sampled/failed only)\n"
-      << "  --stats-interval <s>   print live stats every s seconds (0=off)\n"
-      << "  --flight-recorder <path>\n"
-      << "                         flight-record JSON dump target for\n"
-      << "                         SIGQUIT / drain (default\n"
-      << "                         rlb_router_flight.json; empty disables)\n"
-      << "  (plus --probes / --trace <path> from the obs layer)\n"
-      << "rlb_stat polls the STATS admin opcode on the router port; add\n"
-      << "--cluster to scrape the backends too, --events for the journal.\n";
-}
-
-bool parse_u64_flag(const char* name, const std::string& value,
-                    std::uint64_t& out) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long long parsed = std::stoull(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    out = parsed;
-    return true;
-  } catch (const std::exception&) {
-    std::cerr << "rlb_router: bad value for " << name << ": '" << value
-              << "'\n";
-    return false;
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace rlb;
 
-  harness::init_output(argc, argv);
-
   cluster::RouterConfig config;
   config.port = 4116;
   std::uint64_t stats_interval_s = 0;
+  std::uint64_t span_slow_us =
+      obs::SpanRecorder::instance().slow_budget_ns() / 1000;
   std::string flight_recorder_path = "rlb_router_flight.json";
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const bool has_value = i + 1 < argc;
-    auto value = [&]() -> std::string { return argv[++i]; };
-    std::uint64_t u64 = 0;
-    if (flag == "--help" || flag == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else if (flag == "--backends" && has_value) {
-      try {
-        config.backends = cluster::parse_backend_list(value());
-      } catch (const std::exception& e) {
-        std::cerr << "rlb_router: " << e.what() << "\n";
-        return 2;
-      }
-    } else if (flag == "--d" && has_value) {
-      if (!parse_u64_flag("--d", value(), u64)) return 2;
-      config.replication = static_cast<unsigned>(u64);
-    } else if (flag == "--chunks" && has_value) {
-      if (!parse_u64_flag("--chunks", value(), u64)) return 2;
-      config.chunks = u64;
-    } else if (flag == "--seed" && has_value) {
-      if (!parse_u64_flag("--seed", value(), u64)) return 2;
-      config.seed = u64;
-    } else if (flag == "--port" && has_value) {
-      if (!parse_u64_flag("--port", value(), u64) || u64 > 65535) return 2;
-      config.port = static_cast<std::uint16_t>(u64);
-    } else if (flag == "--host" && has_value) {
-      config.host = value();
-    } else if (flag == "--heartbeat-ms" && has_value) {
-      if (!parse_u64_flag("--heartbeat-ms", value(), u64) || u64 == 0) {
-        return 2;
-      }
-      config.heartbeat_interval_ms = u64;
-    } else if (flag == "--heartbeat-timeout-ms" && has_value) {
-      if (!parse_u64_flag("--heartbeat-timeout-ms", value(), u64) || u64 == 0) {
-        return 2;
-      }
-      config.heartbeat_timeout_ms = u64;
-    } else if (flag == "--miss-threshold" && has_value) {
-      if (!parse_u64_flag("--miss-threshold", value(), u64) || u64 == 0) {
-        return 2;
-      }
-      config.membership.miss_threshold = static_cast<unsigned>(u64);
-    } else if (flag == "--probation" && has_value) {
-      if (!parse_u64_flag("--probation", value(), u64) || u64 == 0) return 2;
-      config.membership.probation_successes = static_cast<unsigned>(u64);
-    } else if (flag == "--timeout-ms" && has_value) {
-      if (!parse_u64_flag("--timeout-ms", value(), u64) || u64 == 0) return 2;
-      config.request_timeout_ms = u64;
-    } else if (flag == "--max-attempts" && has_value) {
-      if (!parse_u64_flag("--max-attempts", value(), u64)) return 2;
-      config.max_attempts = static_cast<unsigned>(u64);
-    } else if (flag == "--repair") {
-      config.repair.enabled = true;
-    } else if (flag == "--repair-concurrent" && has_value) {
-      if (!parse_u64_flag("--repair-concurrent", value(), u64) || u64 == 0) {
-        return 2;
-      }
-      config.repair.max_concurrent = static_cast<unsigned>(u64);
-    } else if (flag == "--repair-bytes-per-sec" && has_value) {
-      if (!parse_u64_flag("--repair-bytes-per-sec", value(), u64)) return 2;
-      config.repair.bytes_per_sec = u64;
-    } else if (flag == "--repair-chunk-bytes" && has_value) {
-      if (!parse_u64_flag("--repair-chunk-bytes", value(), u64)) return 2;
-      config.repair.bytes_per_chunk = u64;
-    } else if (flag == "--repair-grace-ms" && has_value) {
-      if (!parse_u64_flag("--repair-grace-ms", value(), u64)) return 2;
-      config.repair.down_grace_ms = u64;
-    } else if (flag == "--repair-timeout-ms" && has_value) {
-      if (!parse_u64_flag("--repair-timeout-ms", value(), u64) || u64 == 0) {
-        return 2;
-      }
-      config.repair.migrate_timeout_ms = u64;
-    } else if (flag == "--repair-scan-ms" && has_value) {
-      if (!parse_u64_flag("--repair-scan-ms", value(), u64) || u64 == 0) {
-        return 2;
-      }
-      config.repair.scan_interval_ms = u64;
-    } else if (flag == "--span-slow-us" && has_value) {
-      if (!parse_u64_flag("--span-slow-us", value(), u64)) return 2;
-      rlb::obs::SpanRecorder::instance().set_slow_budget_ns(u64 * 1000);
-    } else if (flag == "--stats-interval" && has_value) {
-      if (!parse_u64_flag("--stats-interval", value(), u64)) return 2;
-      stats_interval_s = u64;
-    } else if (flag == "--flight-recorder" && has_value) {
-      flight_recorder_path = value();
-    } else if (flag == "--format" || flag == "--trace") {
-      ++i;  // consumed by init_output
-    } else if (flag == "--probes" || flag == "--trace-detail") {
-      // consumed by init_output
-    } else {
-      std::cerr << "rlb_router: unknown flag '" << flag << "'\n";
-      usage(argv[0]);
-      return 2;
-    }
-  }
+  harness::Flags flags(
+      "The cluster front-end.  rlb_stat polls the STATS admin opcode on the\n"
+      "router port; add --cluster to scrape the backends too, --events for\n"
+      "the journal.");
+  flags
+      .custom("--backends", "host:port,...",
+              "rlbd endpoints, comma separated (required)", "",
+              [&config](const std::string& value) {
+                try {
+                  config.backends = cluster::parse_backend_list(value);
+                } catch (const std::exception& e) {
+                  return std::string(e.what());
+                }
+                return std::string();
+              })
+      .num("--d", "replication", "candidate backends per chunk",
+           config.replication)
+      .num("--chunks", "n", "chunk count for the key hash", config.chunks)
+      .num("--seed", "s", "placement seed", config.seed)
+      .num("--port", "p", "listen port; 0 = ephemeral", config.port)
+      .text("--host", "addr", "bind address", config.host)
+      .num("--heartbeat-ms", "ms", "STATS ping period per backend",
+           config.heartbeat_interval_ms, 1)
+      .num("--heartbeat-timeout-ms", "ms", "ping reply deadline",
+           config.heartbeat_timeout_ms, 1)
+      .num("--miss-threshold", "n", "consecutive misses -> mark-down",
+           config.membership.miss_threshold, 1)
+      .num("--probation", "n", "consecutive successes -> mark-up",
+           config.membership.probation_successes, 1)
+      .num("--timeout-ms", "ms", "per-hop response deadline",
+           config.request_timeout_ms, 1)
+      .num("--max-attempts", "n", "forward attempts per request; 0 = d",
+           config.max_attempts)
+      .toggle("--repair", "enable the self-healing repair plane",
+              config.repair.enabled)
+      .num("--repair-concurrent", "n", "max concurrent migrations",
+           config.repair.max_concurrent, 1)
+      .num("--repair-bytes-per-sec", "n", "repair byte budget; 0 = unthrottled",
+           config.repair.bytes_per_sec)
+      .num("--repair-chunk-bytes", "n", "nominal state per chunk",
+           config.repair.bytes_per_chunk)
+      .num("--repair-grace-ms", "ms", "down time before repair starts",
+           config.repair.down_grace_ms)
+      .num("--repair-timeout-ms", "ms", "per-migration deadline",
+           config.repair.migrate_timeout_ms, 1)
+      .num("--repair-scan-ms", "ms", "planner scan period",
+           config.repair.scan_interval_ms, 1)
+      .num("--span-slow-us", "us",
+           "keep unsampled spans slower than this\n"
+           "(tail sampling; 0 = sampled/failed only)",
+           span_slow_us, 0, UINT64_MAX / 1000)
+      .num("--stats-interval", "s", "print live stats every s seconds (0=off)",
+           stats_interval_s)
+      .text("--flight-recorder", "path",
+            "flight-record JSON dump target for SIGQUIT /\n"
+            "drain (empty string disables)",
+            flight_recorder_path);
+  harness::add_output_flags(flags);
+  flags.parse(argc, argv);
+  obs::SpanRecorder::instance().set_slow_budget_ns(span_slow_us * 1000);
 
   if (config.backends.empty()) {
-    std::cerr << "rlb_router: --backends is required\n";
-    usage(argv[0]);
+    std::cerr << "rlb_router: --backends: required (see --help)\n";
     return 2;
   }
 

@@ -33,6 +33,7 @@
 #include <unistd.h>
 
 #include "cluster/router.hpp"
+#include "harness/flags.hpp"
 #include "net/client.hpp"
 #include "net/events_wire.hpp"
 #include "net/stats.hpp"
@@ -45,36 +46,6 @@ namespace {
 volatile std::sig_atomic_t g_stop_requested = 0;
 
 void handle_signal(int) { g_stop_requested = 1; }
-
-void usage(const char* argv0) {
-  std::cerr << "usage: " << argv0 << " [flags]\n"
-            << "  --host <addr>     daemon address (default 127.0.0.1)\n"
-            << "  --port <p>        daemon port (default 4117)\n"
-            << "  --watch [s]       refresh every s seconds (default 1)\n"
-            << "  --prom            Prometheus text exposition\n"
-            << "  --json            one JSON object per snapshot\n"
-            << "  --cluster <host:port,...>\n"
-            << "                    fan out: scrape every listed endpoint\n"
-            << "                    (router + backends) and merge into one\n"
-            << "                    per-node table (or a JSON document)\n"
-            << "  --events          read the control-plane journal (EVENTS)\n"
-            << "                    from the target -- or every --cluster\n"
-            << "                    endpoint -- into one clock-aligned merged\n"
-            << "                    timeline (--json for machine output)\n"
-            << "  --follow          with --events: keep tailing new events\n"
-            << "                    every --watch interval (default 1s)\n"
-            << "  --spans           read the span recorders of the target --\n"
-            << "                    or every --cluster endpoint -- and merge\n"
-            << "                    them into cross-process request trees\n"
-            << "  --span-file <path>\n"
-            << "                    with --spans: merge a span JSONL file too\n"
-            << "                    (rlb_loadgen --span-file); repeatable\n"
-            << "  --out <path>      with --spans: merged spans as JSONL\n"
-            << "  --chrome <path>   with --spans: a Chrome trace\n"
-            << "                    (chrome://tracing, Perfetto)\n"
-            << "  --print <n>       with --spans: print n span trees, retried\n"
-            << "                    first (default 3; 0 = summary only)\n";
-}
 
 /// Per-interval deltas between two consecutive --watch scrapes.
 struct WatchDelta {
@@ -895,53 +866,65 @@ int main(int argc, char** argv) {
   std::uint64_t interval_s = 1;
   std::vector<cluster::BackendEndpoint> cluster_endpoints;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--help" || flag == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else if (flag == "--host" && i + 1 < argc) {
-      host = argv[++i];
-    } else if (flag == "--port" && i + 1 < argc) {
-      port = static_cast<std::uint16_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (flag == "--watch") {
-      watch = true;
-      // Optional numeric operand.
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
-        interval_s = std::strtoull(argv[++i], nullptr, 10);
-        if (interval_s == 0) interval_s = 1;
-      }
-    } else if (flag == "--prom") {
-      prom = true;
-    } else if (flag == "--json") {
-      json = true;
-    } else if (flag == "--events") {
-      events = true;
-    } else if (flag == "--follow") {
-      follow = true;
-    } else if (flag == "--spans") {
-      spans = true;
-    } else if (flag == "--span-file" && i + 1 < argc) {
-      spans_options.span_files.emplace_back(argv[++i]);
-    } else if (flag == "--out" && i + 1 < argc) {
-      spans_options.out_path = argv[++i];
-    } else if (flag == "--chrome" && i + 1 < argc) {
-      spans_options.chrome_path = argv[++i];
-    } else if (flag == "--print" && i + 1 < argc) {
-      spans_options.print_trees = std::strtoull(argv[++i], nullptr, 10);
-    } else if (flag == "--cluster" && i + 1 < argc) {
-      try {
-        cluster_endpoints = cluster::parse_backend_list(argv[++i]);
-      } catch (const std::exception& e) {
-        std::cerr << "rlb_stat: " << e.what() << "\n";
-        return 2;
-      }
-    } else {
-      std::cerr << "rlb_stat: unknown flag '" << flag << "'\n";
-      usage(argv[0]);
-      return 2;
-    }
-  }
+  harness::Flags flags(
+      "Poll a running rlbd or rlb_router: its STATS snapshot by default, the\n"
+      "merged control-plane journal with --events, the merged request\n"
+      "span trees with --spans.");
+  flags.text("--host", "addr", "daemon address", host)
+      .num("--port", "p", "daemon port", port)
+      .custom("--watch", "s", "refresh every s seconds (default 1)", "",
+              [&](const std::string& value) {
+                watch = true;
+                if (value.empty()) return std::string();
+                const std::string why =
+                    harness::parse_number(value, 0, UINT64_MAX, interval_s);
+                if (interval_s == 0) interval_s = 1;
+                return why;
+              })
+      .optional_value()
+      .toggle("--prom", "Prometheus text exposition", prom)
+      .toggle("--json", "one JSON object per snapshot", json)
+      .custom("--cluster", "host:port,...",
+              "fan out: scrape every listed endpoint (router +\n"
+              "backends) and merge into one per-node table (or a\n"
+              "JSON document)",
+              "",
+              [&](const std::string& value) {
+                try {
+                  cluster_endpoints = cluster::parse_backend_list(value);
+                } catch (const std::exception& e) {
+                  return std::string(e.what());
+                }
+                return std::string();
+              })
+      .toggle("--events",
+              "read the control-plane journal (EVENTS) from the\n"
+              "target -- or every --cluster endpoint -- into one\n"
+              "clock-aligned merged timeline (--json for machine output)",
+              events)
+      .toggle("--follow",
+              "with --events: keep tailing new events every --watch\n"
+              "interval (default 1s)",
+              follow)
+      .toggle("--spans",
+              "read the span recorders of the target -- or every\n"
+              "--cluster endpoint -- and merge them into cross-process\n"
+              "request trees",
+              spans)
+      .list("--span-file", "path",
+            "with --spans: merge a span JSONL file too\n"
+            "(rlb_loadgen --span-file)",
+            spans_options.span_files)
+      .text("--out", "path", "with --spans: merged spans as JSONL",
+            spans_options.out_path)
+      .text("--chrome", "path",
+            "with --spans: a Chrome trace (chrome://tracing, Perfetto)",
+            spans_options.chrome_path)
+      .num("--print", "n",
+           "with --spans: print n span trees, retried first\n"
+           "(0 = summary only)",
+           spans_options.print_trees);
+  flags.parse(argc, argv);
 
   std::signal(SIGINT, handle_signal);
   std::signal(SIGTERM, handle_signal);

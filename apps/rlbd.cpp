@@ -4,8 +4,8 @@
 //   net::NetServer    — loopback TCP listener + wire protocol framing
 //   engine::ServingEngine — sharded workers embedding a core::LoadBalancer
 //   store::KeyMapper  — GET(key) -> chunk (inside the engine)
-// Every REQUEST frame becomes engine.submit(); every balancer outcome comes
-// back through the RequestSink path as a RESPONSE frame (OK with the
+// Every REQUEST frame goes to engine.submit_batch(); every balancer outcome
+// comes back through the RequestSink path as a RESPONSE frame (OK with the
 // serving server id and queueing delay, or REJECT when the paper's bounded
 // queue — or the engine's admission control — says no).
 //
@@ -43,166 +43,88 @@ void handle_signal(int) { g_stop_requested = 1; }
 
 void handle_dump_signal(int) { g_dump_requested = 1; }
 
-void usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0 << " [flags]\n"
-      << "  --policy <name>        routing policy (default greedy)\n"
-      << "  --m <servers>          total servers (default 64)\n"
-      << "  --d <replication>      replicas per chunk (default 2)\n"
-      << "  --g <rate>             service per server per tick (default 2)\n"
-      << "  --q <capacity>         queue bound; 0 = theorem default\n"
-      << "  --shards <n>           worker threads (default 1)\n"
-      << "  --chunks <n>           chunk count (default 2^20)\n"
-      << "  --mapper <hash|range>  key->chunk scheme (default hash)\n"
-      << "  --key-space <n>        range-mapper key space; 0 = chunks\n"
-      << "  --port <p>             listen port; 0 = ephemeral (default 4117)\n"
-      << "  --host <addr>          bind address (default 127.0.0.1)\n"
-      << "  --seed <s>             master seed (default 1)\n"
-      << "  --max-batch <n>        distinct chunks per tick per shard\n"
-      << "  --waiting-limit <n>    per-shard admission bound\n"
-      << "  --tick-us <us>         minimum tick period; 0 = free-running\n"
-      << "  --failure-schedule <spec>\n"
-      << "                         script:t,s,down|up;...  bernoulli:p,mttr\n"
-      << "                         rack:racks,p,mttr (ticks as the clock)\n"
-      << "  --dump-on-crash        reject a crashed server's queue\n"
-      << "  --backend-id <n>       cluster identity echoed in STATS\n"
-      << "                         snapshots (rlb_router / rlb_stat --cluster)\n"
-      << "  --span-slow-us <us>    keep unsampled spans slower than this\n"
-      << "                         (tail sampling; 0 = sampled/failed only)\n"
-      << "  --stats-interval <s>   print live stats every s seconds (0=off)\n"
-      << "  --safe-set-log <path>  append one safe-set JSONL record per\n"
-      << "                         stats interval (forces 1s when unset)\n"
-      << "  --flight-recorder <path>\n"
-      << "                         flight-record JSON dump target for\n"
-      << "                         SIGQUIT / drain (default rlbd_flight.json;\n"
-      << "                         empty string disables)\n"
-      << "  (plus --probes / --trace <path> from the obs layer)\n"
-      << "rlb_stat polls the STATS admin opcode on the same port;\n"
-      << "rlb_stat --events drains the control-plane journal (EVENTS).\n";
-}
-
-bool parse_u64_flag(const char* name, const std::string& value,
-                    std::uint64_t& out) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long long parsed = std::stoull(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    out = parsed;
-    return true;
-  } catch (const std::exception&) {
-    std::cerr << "rlbd: bad value for " << name << ": '" << value << "'\n";
-    return false;
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace rlb;
 
-  harness::init_output(argc, argv);
-
   engine::EngineConfig config;
   net::ServerConfig net_config;
   net_config.port = 4117;
   std::uint64_t stats_interval_s = 0;
+  std::uint64_t span_slow_us =
+      obs::SpanRecorder::instance().slow_budget_ns() / 1000;
   std::string safe_set_log_path;
   std::string flight_recorder_path = "rlbd_flight.json";
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const bool has_value = i + 1 < argc;
-    auto value = [&]() -> std::string { return argv[++i]; };
-    std::uint64_t u64 = 0;
-    if (flag == "--help" || flag == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else if (flag == "--policy" && has_value) {
-      config.policy = value();
-    } else if (flag == "--m" && has_value) {
-      if (!parse_u64_flag("--m", value(), u64)) return 2;
-      config.servers = static_cast<std::size_t>(u64);
-    } else if (flag == "--d" && has_value) {
-      if (!parse_u64_flag("--d", value(), u64)) return 2;
-      config.replication = static_cast<unsigned>(u64);
-    } else if (flag == "--g" && has_value) {
-      if (!parse_u64_flag("--g", value(), u64)) return 2;
-      config.processing_rate = static_cast<unsigned>(u64);
-    } else if (flag == "--q" && has_value) {
-      if (!parse_u64_flag("--q", value(), u64)) return 2;
-      config.queue_capacity = static_cast<std::size_t>(u64);
-    } else if (flag == "--shards" && has_value) {
-      if (!parse_u64_flag("--shards", value(), u64)) return 2;
-      config.shards = static_cast<std::size_t>(u64);
-    } else if (flag == "--chunks" && has_value) {
-      if (!parse_u64_flag("--chunks", value(), u64)) return 2;
-      config.chunks = static_cast<std::size_t>(u64);
-    } else if (flag == "--mapper" && has_value) {
-      config.mapper = value();
-    } else if (flag == "--key-space" && has_value) {
-      if (!parse_u64_flag("--key-space", value(), u64)) return 2;
-      config.key_space = u64;
-    } else if (flag == "--port" && has_value) {
-      if (!parse_u64_flag("--port", value(), u64) || u64 > 65535) return 2;
-      net_config.port = static_cast<std::uint16_t>(u64);
-    } else if (flag == "--host" && has_value) {
-      net_config.host = value();
-    } else if (flag == "--seed" && has_value) {
-      if (!parse_u64_flag("--seed", value(), u64)) return 2;
-      config.seed = u64;
-    } else if (flag == "--max-batch" && has_value) {
-      if (!parse_u64_flag("--max-batch", value(), u64)) return 2;
-      config.max_batch = static_cast<std::size_t>(u64);
-    } else if (flag == "--waiting-limit" && has_value) {
-      if (!parse_u64_flag("--waiting-limit", value(), u64)) return 2;
-      config.waiting_limit = static_cast<std::size_t>(u64);
-    } else if (flag == "--tick-us" && has_value) {
-      if (!parse_u64_flag("--tick-us", value(), u64)) return 2;
-      config.tick_interval_us = u64;
-    } else if (flag == "--failure-schedule" && has_value) {
-      config.failure_spec = value();
-    } else if (flag == "--dump-on-crash") {
-      config.dump_queue_on_crash = true;
-    } else if (flag == "--backend-id" && has_value) {
-      if (!parse_u64_flag("--backend-id", value(), u64) || u64 > 0xFFFFFFFFULL) {
-        return 2;
-      }
-      config.backend_id = static_cast<std::uint32_t>(u64);
-    } else if (flag == "--stats-interval" && has_value) {
-      if (!parse_u64_flag("--stats-interval", value(), u64)) return 2;
-      stats_interval_s = u64;
-    } else if (flag == "--safe-set-log" && has_value) {
-      safe_set_log_path = value();
-    } else if (flag == "--flight-recorder" && has_value) {
-      flight_recorder_path = value();
-    } else if (flag == "--span-slow-us" && has_value) {
-      if (!parse_u64_flag("--span-slow-us", value(), u64)) return 2;
-      rlb::obs::SpanRecorder::instance().set_slow_budget_ns(u64 * 1000);
-    } else if (flag == "--format" || flag == "--trace" ||
-               flag == "--fail-rate" || flag == "--mttr") {
-      ++i;  // consumed by init_output / reserved
-    } else if (flag == "--probes" || flag == "--trace-detail") {
-      // consumed by init_output
-    } else {
-      std::cerr << "rlbd: unknown flag '" << flag << "'\n";
-      usage(argv[0]);
-      return 2;
-    }
-  }
+  harness::Flags flags(
+      "The live serving daemon.  rlb_stat polls the STATS admin opcode on\n"
+      "the same port; rlb_stat --events reads the control-plane journal.");
+  flags.text("--policy", "name", "routing policy", config.policy)
+      .num("--m", "servers", "total servers", config.servers)
+      .num("--d", "replication", "replicas per chunk", config.replication)
+      .num("--g", "rate", "service per server per tick",
+           config.processing_rate)
+      .num("--q", "capacity", "queue bound; 0 = theorem default",
+           config.queue_capacity)
+      .num("--shards", "n", "worker threads", config.shards)
+      .num("--chunks", "n", "chunk count", config.chunks)
+      .text("--mapper", "hash|range", "key->chunk scheme", config.mapper)
+      .num("--key-space", "n", "range-mapper key space; 0 = chunks",
+           config.key_space)
+      .num("--port", "p", "listen port; 0 = ephemeral", net_config.port)
+      .text("--host", "addr", "bind address", net_config.host)
+      .num("--seed", "s", "master seed", config.seed)
+      .num("--max-batch", "n", "distinct chunks per tick per shard",
+           config.max_batch)
+      .num("--waiting-limit", "n", "per-shard admission bound",
+           config.waiting_limit)
+      .num("--tick-us", "us", "minimum tick period; 0 = free-running",
+           config.tick_interval_us)
+      .text("--failure-schedule", "spec",
+            "script:t,s,down|up;...  bernoulli:p,mttr\n"
+            "rack:racks,p,mttr (ticks as the clock)",
+            config.failure_spec)
+      .toggle("--dump-on-crash", "reject a crashed server's queue",
+              config.dump_queue_on_crash)
+      .num("--backend-id", "n",
+           "cluster identity echoed in STATS snapshots\n"
+           "(rlb_router / rlb_stat --cluster)",
+           config.backend_id)
+      .num("--span-slow-us", "us",
+           "keep unsampled spans slower than this\n"
+           "(tail sampling; 0 = sampled/failed only)",
+           span_slow_us, 0, UINT64_MAX / 1000)
+      .num("--stats-interval", "s", "print live stats every s seconds (0=off)",
+           stats_interval_s)
+      .text("--safe-set-log", "path",
+            "append one safe-set JSONL record per stats\n"
+            "interval (forces 1s when unset)",
+            safe_set_log_path)
+      .text("--flight-recorder", "path",
+            "flight-record JSON dump target for SIGQUIT /\n"
+            "drain (empty string disables)",
+            flight_recorder_path);
+  harness::add_output_flags(flags);
+  flags.parse(argc, argv);
+  obs::SpanRecorder::instance().set_slow_budget_ns(span_slow_us * 1000);
 
   // Server and engine reference each other (requests flow down, responses
-  // flow back up); both lambdas capture through pointers filled in below.
+  // flow back up); the handlers capture through pointers filled in below.
+  // The server hands over each wakeup's worth of decoded REQUEST frames in
+  // one call, and the engine groups them by shard so a burst costs one
+  // shard-lock + notify per shard instead of one per request.
   engine::ServingEngine* engine_raw = nullptr;
   net::NetServer server(
       net_config, [&engine_raw, &server](std::uint64_t conn_token,
                                          const net::RequestMsg& request) {
-        if (!engine_raw->submit(conn_token, request.request_id, request.key,
-                                request.trace)) {
-          net::ResponseMsg msg;
-          msg.request_id = request.request_id;
-          msg.status = net::Status::kError;
-          server.send_response(conn_token, msg);
-        }
+        const net::ServerRequest one{conn_token, request};
+        engine::submit_requests(*engine_raw, server, &one, 1);
+      });
+  server.set_request_batch_handler(
+      [&engine_raw, &server](const net::ServerRequest* batch,
+                             std::size_t count) {
+        engine::submit_requests(*engine_raw, server, batch, count);
       });
   std::unique_ptr<engine::ServingEngine> engine_ptr;
   try {
@@ -221,31 +143,6 @@ int main(int argc, char** argv) {
   }
   engine::ServingEngine& engine = *engine_ptr;
   engine_raw = engine_ptr.get();
-
-  // Batched submit: the server hands over each wakeup's worth of decoded
-  // REQUEST frames in one call, and the engine groups them by shard so a
-  // burst costs one shard-lock + notify per shard instead of one per
-  // request (the per-request handler above stays as the fallback path).
-  server.set_request_batch_handler(
-      [&engine_raw, &server](const net::ServerRequest* batch,
-                             std::size_t count) {
-        thread_local std::vector<engine::ServingEngine::SubmitItem> items;
-        thread_local std::vector<std::size_t> rejected;
-        items.clear();
-        rejected.clear();
-        items.reserve(count);
-        for (std::size_t i = 0; i < count; ++i) {
-          items.push_back({batch[i].conn_token, batch[i].msg.request_id,
-                           batch[i].msg.key, batch[i].msg.trace});
-        }
-        engine_raw->submit_batch(items.data(), count, rejected);
-        for (const std::size_t i : rejected) {
-          net::ResponseMsg msg;
-          msg.request_id = batch[i].msg.request_id;
-          msg.status = net::Status::kError;
-          server.send_response(batch[i].conn_token, msg);
-        }
-      });
 
   // STATS admin frames answer from the event-loop thread: snapshot() is a
   // lock-free merge of shard atomics, so no worker tick ever blocks on it.

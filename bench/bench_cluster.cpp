@@ -16,9 +16,7 @@
 //                fan-out's pipelining win
 //
 // Reports end-to-end throughput, rejection rate, and latency quantiles per
-// topology.  Flags: --requests <n> per topology (default 100000),
-// --connections <c> (default 4), --concurrency <k> (default 32), plus the
-// shared --format/--json/--probes flags.
+// topology.  Flags: see --help.
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -63,34 +61,13 @@ class Backend {
     net::ServerConfig net_config;
     net_config.max_connections = max_connections;
     server_ = std::make_unique<net::NetServer>(
-        net_config,
-        [this](std::uint64_t token, const net::RequestMsg& request) {
-          if (!engine_->submit(token, request.request_id, request.key)) {
-            net::ResponseMsg msg;
-            msg.request_id = request.request_id;
-            msg.status = net::Status::kError;
-            server_->send_response(token, msg);
-          }
+        net_config, [this](std::uint64_t token, const net::RequestMsg& msg) {
+          const net::ServerRequest one{token, msg};
+          engine::submit_requests(*engine_, *server_, &one, 1);
         });
-    // Batched submit: one shard-lock + notify per shard per wakeup.
     server_->set_request_batch_handler(
         [this](const net::ServerRequest* batch, std::size_t count) {
-          thread_local std::vector<engine::ServingEngine::SubmitItem> items;
-          thread_local std::vector<std::size_t> rejected;
-          items.clear();
-          rejected.clear();
-          items.reserve(count);
-          for (std::size_t i = 0; i < count; ++i) {
-            items.push_back({batch[i].conn_token, batch[i].msg.request_id,
-                             batch[i].msg.key, batch[i].msg.trace});
-          }
-          engine_->submit_batch(items.data(), count, rejected);
-          for (const std::size_t i : rejected) {
-            net::ResponseMsg msg;
-            msg.request_id = batch[i].msg.request_id;
-            msg.status = net::Status::kError;
-            server_->send_response(batch[i].conn_token, msg);
-          }
+          engine::submit_requests(*engine_, *server_, batch, count);
         });
     engine_ = std::make_unique<engine::ServingEngine>(
         config, [this](const engine::EngineResponse& r) {
@@ -268,20 +245,16 @@ RunResult run_topology(const std::string& topology, std::uint64_t requests,
 }  // namespace
 
 int main(int argc, char** argv) {
-  rlb::bench::init_output(argc, argv);
   std::uint64_t requests = 100000;
   std::size_t connections = 4;
   std::size_t concurrency = 32;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--requests" && i + 1 < argc) {
-      requests = std::stoull(argv[++i]);
-    } else if (flag == "--connections" && i + 1 < argc) {
-      connections = std::stoull(argv[++i]);
-    } else if (flag == "--concurrency" && i + 1 < argc) {
-      concurrency = std::stoull(argv[++i]);
-    }
-  }
+  rlb::bench::Flags flags("E23 cluster router hop overhead.");
+  flags.num("--requests", "n", "requests per topology", requests)
+      .num("--connections", "c", "client connections", connections, 1)
+      .num("--concurrency", "k", "outstanding requests per connection",
+           concurrency, 1);
+  rlb::bench::add_output_flags(flags);
+  flags.parse(argc, argv);
 
   rlb::bench::print_banner(
       "E23 cluster router hop overhead",

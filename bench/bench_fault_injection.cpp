@@ -213,11 +213,13 @@ void correlated_failures() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  rlb::bench::init_output(argc, argv);
-  const rlb::bench::FaultFlags flags =
-      rlb::bench::parse_fault_flags(argc, argv);
-  sweep_fail_rate(flags);
-  policy_comparison(flags);
+  rlb::bench::FaultFlags faults;
+  rlb::bench::Flags flags("E21 fault injection: rejection under crashes.");
+  rlb::bench::add_output_flags(flags);
+  rlb::bench::add_fault_flags(flags, faults);
+  flags.parse(argc, argv);
+  sweep_fail_rate(faults);
+  policy_comparison(faults);
   correlated_failures();
   return 0;
 }

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common.hpp"
 #include "core/placement.hpp"
 #include "core/simulator.hpp"
 #include "cuckoo/cuckoo_table.hpp"
@@ -128,26 +129,31 @@ BENCHMARK(BM_FullSimulation);
 
 }  // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): translate the repo-wide
-// `--json <path>` flag (see harness/output.hpp) into google-benchmark's
-// native JSON reporter so bench_micro emits machine-readable results the
-// same way the table-based experiment binaries do.
+// Custom main instead of BENCHMARK_MAIN(): the flag table takes the shared
+// output flags like every experiment binary.  `--json <path>` becomes
+// google-benchmark's JSON reporter (machine-readable results, as from the
+// table-based binaries), `--format csv` its CSV console format, and only
+// --benchmark_* arguments reach google-benchmark.
 int main(int argc, char** argv) {
-  std::vector<char*> args;
-  std::vector<std::string> storage;
-  args.reserve(static_cast<std::size_t>(argc) + 2);
-  storage.reserve(2);
-  for (int i = 0; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--json" && i + 1 < argc) {
-      storage.push_back(std::string("--benchmark_out=") + argv[++i]);
-      storage.push_back("--benchmark_out_format=json");
-      args.push_back(storage[storage.size() - 2].data());
-      args.push_back(storage[storage.size() - 1].data());
-      continue;
-    }
-    args.push_back(argv[i]);
+  std::string json_path;
+  std::vector<std::string> forwarded;
+  rlb::bench::Flags flags("E12 micro-benchmarks (google-benchmark).");
+  flags.text("--json", "path", "also write google-benchmark's JSON report",
+             json_path)
+      .pass_through("--benchmark_", "passed on to google-benchmark",
+                    forwarded);
+  rlb::bench::add_output_flags(flags, /*json=*/false);
+  flags.parse(argc, argv);
+  if (!json_path.empty()) {
+    forwarded.push_back("--benchmark_out=" + json_path);
+    forwarded.push_back("--benchmark_out_format=json");
   }
+  if (rlb::harness::table_format() == rlb::harness::TableFormat::kCsv) {
+    forwarded.insert(forwarded.begin(), "--benchmark_format=csv");
+  }
+
+  std::vector<char*> args = {argv[0]};
+  for (std::string& arg : forwarded) args.push_back(arg.data());
   int args_count = static_cast<int>(args.size());
   benchmark::Initialize(&args_count, args.data());
   if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {

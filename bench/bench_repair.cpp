@@ -17,10 +17,7 @@
 //   * client-visible p99 during repair vs quiesced (after repair), the
 //     tentpole claim: re-replication must not pause serving
 //
-// Flags: --requests <n> per phase (default 60000), --connections <c>
-// (default 4), --concurrency <k> (default 32), --chunks <n> (default
-// 2048), --repair-bytes-per-sec <n> (default 8 MiB/s), plus the shared
-// --format/--json/--probes flags.
+// Flags: see --help.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -71,15 +68,13 @@ class Backend {
     net::ServerConfig net_config;
     net_config.max_connections = max_connections;
     server_ = std::make_unique<net::NetServer>(
-        net_config,
-        [this](std::uint64_t token, const net::RequestMsg& request) {
-          if (!engine_->submit(token, request.request_id, request.key,
-                               request.trace)) {
-            net::ResponseMsg msg;
-            msg.request_id = request.request_id;
-            msg.status = net::Status::kError;
-            server_->send_response(token, msg);
-          }
+        net_config, [this](std::uint64_t token, const net::RequestMsg& msg) {
+          const net::ServerRequest one{token, msg};
+          engine::submit_requests(*engine_, *server_, &one, 1);
+        });
+    server_->set_request_batch_handler(
+        [this](const net::ServerRequest* batch, std::size_t count) {
+          engine::submit_requests(*engine_, *server_, batch, count);
         });
     engine_ = std::make_unique<engine::ServingEngine>(
         config, [this](const engine::EngineResponse& r) {
@@ -275,26 +270,21 @@ std::uint64_t chunks_on(const core::Placement& base,
 }  // namespace
 
 int main(int argc, char** argv) {
-  rlb::bench::init_output(argc, argv);
   std::uint64_t requests = 60000;
   std::size_t connections = 4;
   std::size_t concurrency = 32;
   std::uint64_t chunks = 2048;
   std::uint64_t repair_bps = 8ull << 20;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--requests" && i + 1 < argc) {
-      requests = std::stoull(argv[++i]);
-    } else if (flag == "--connections" && i + 1 < argc) {
-      connections = std::stoull(argv[++i]);
-    } else if (flag == "--concurrency" && i + 1 < argc) {
-      concurrency = std::stoull(argv[++i]);
-    } else if (flag == "--chunks" && i + 1 < argc) {
-      chunks = std::stoull(argv[++i]);
-    } else if (flag == "--repair-bytes-per-sec" && i + 1 < argc) {
-      repair_bps = std::stoull(argv[++i]);
-    }
-  }
+  rlb::bench::Flags flags("E24 self-healing repair under load.");
+  flags.num("--requests", "n", "requests per phase", requests)
+      .num("--connections", "c", "client connections", connections, 1)
+      .num("--concurrency", "k", "outstanding requests per connection",
+           concurrency, 1)
+      .num("--chunks", "n", "chunk count", chunks, 1)
+      .num("--repair-bytes-per-sec", "n", "repair byte budget; 0 = unthrottled",
+           repair_bps);
+  rlb::bench::add_output_flags(flags);
+  flags.parse(argc, argv);
 
   rlb::bench::print_banner(
       "E24 self-healing repair under load",

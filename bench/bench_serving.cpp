@@ -15,10 +15,7 @@
 // table, so a --json run records how backlog, in-flight depth, and the
 // safe-set ratio evolve over the run rather than just the end state.
 //
-// Flags: --requests <n> per configuration (default 200000), --connections
-// <c> client threads (default 4), --concurrency <k> outstanding per
-// connection (default 64), --scrape-ms <ms> snapshot period (default 100,
-// 0 disables), plus the shared --format/--json/--probes flags.
+// Flags: see --help.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -150,37 +147,16 @@ RunResult run_config(const std::string& policy, std::size_t shards,
   engine::ServingEngine* engine_raw = nullptr;
   net::ServerConfig net_config;  // ephemeral port
   net_config.max_connections = connections + 8;
-  net::NetServer server(net_config,
-                        [&engine_raw, &server](std::uint64_t token,
-                                               const net::RequestMsg& request) {
-                          if (!engine_raw->submit(token, request.request_id,
-                                                  request.key)) {
-                            net::ResponseMsg msg;
-                            msg.request_id = request.request_id;
-                            msg.status = net::Status::kError;
-                            server.send_response(token, msg);
-                          }
-                        });
-  // Batched submit: one shard-lock + notify per shard per wakeup.
+  net::NetServer server(
+      net_config, [&engine_raw, &server](std::uint64_t token,
+                                         const net::RequestMsg& msg) {
+        const net::ServerRequest one{token, msg};
+        engine::submit_requests(*engine_raw, server, &one, 1);
+      });
   server.set_request_batch_handler(
       [&engine_raw, &server](const net::ServerRequest* batch,
                              std::size_t count) {
-        thread_local std::vector<engine::ServingEngine::SubmitItem> items;
-        thread_local std::vector<std::size_t> rejected;
-        items.clear();
-        rejected.clear();
-        items.reserve(count);
-        for (std::size_t i = 0; i < count; ++i) {
-          items.push_back({batch[i].conn_token, batch[i].msg.request_id,
-                           batch[i].msg.key, batch[i].msg.trace});
-        }
-        engine_raw->submit_batch(items.data(), count, rejected);
-        for (const std::size_t i : rejected) {
-          net::ResponseMsg msg;
-          msg.request_id = batch[i].msg.request_id;
-          msg.status = net::Status::kError;
-          server.send_response(batch[i].conn_token, msg);
-        }
+        engine::submit_requests(*engine_raw, server, batch, count);
       });
   engine::ServingEngine engine(
       config, [&server](const engine::EngineResponse& r) {
@@ -262,23 +238,19 @@ RunResult run_config(const std::string& policy, std::size_t shards,
 }  // namespace
 
 int main(int argc, char** argv) {
-  rlb::bench::init_output(argc, argv);
   std::uint64_t requests = 200000;
   std::size_t connections = 4;
   std::size_t concurrency = 64;
   std::uint64_t scrape_ms = 100;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--requests" && i + 1 < argc) {
-      requests = std::stoull(argv[++i]);
-    } else if (flag == "--connections" && i + 1 < argc) {
-      connections = std::stoull(argv[++i]);
-    } else if (flag == "--concurrency" && i + 1 < argc) {
-      concurrency = std::stoull(argv[++i]);
-    } else if (flag == "--scrape-ms" && i + 1 < argc) {
-      scrape_ms = std::stoull(argv[++i]);
-    }
-  }
+  rlb::bench::Flags flags("E22 serving engine throughput/latency.");
+  flags.num("--requests", "n", "requests per configuration", requests)
+      .num("--connections", "c", "client connections", connections, 1)
+      .num("--concurrency", "k", "outstanding requests per connection",
+           concurrency, 1)
+      .num("--scrape-ms", "ms", "in-run STATS scrape period; 0 = off",
+           scrape_ms);
+  rlb::bench::add_output_flags(flags);
+  flags.parse(argc, argv);
 
   rlb::bench::print_banner(
       "E22 serving engine throughput/latency",

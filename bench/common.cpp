@@ -1,72 +1,42 @@
 #include "common.hpp"
 
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 
 namespace rlb::bench {
 
 namespace {
 
-bool parse_nonnegative(const std::string& text, double& out) {
-  try {
-    std::size_t consumed = 0;
-    const double value = std::stod(text, &consumed);
-    if (consumed != text.size() || value < 0.0) return false;
-    out = value;
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
+harness::Flags::Parser fault_parser(const char* name, double max,
+                                    double& target, bool& any,
+                                    const char* want) {
+  return [name, max, &target, &any, want](const std::string& value) {
+    if (harness::parse_number(value, 0.0, max, target).empty()) {
+      any = true;
+    } else {
+      std::cerr << "rlb: ignoring bad " << name << " '" << value << "' (want "
+                << want << ")\n";
+    }
+    return std::string();
+  };
 }
 
 }  // namespace
 
-FaultFlags parse_fault_flags(int argc, char** argv) {
-  FaultFlags flags;
-  // Environment first, flags override (same contract as init_output).
-  if (const char* env = std::getenv("RLB_FAIL_RATE")) {
-    if (parse_nonnegative(env, flags.fail_rate) && flags.fail_rate <= 1.0) {
-      flags.any = true;
-    } else {
-      std::cerr << "rlb: ignoring bad RLB_FAIL_RATE '" << env << "'\n";
-      flags.fail_rate = 0.0;
-    }
-  }
-  if (const char* env = std::getenv("RLB_MTTR")) {
-    if (parse_nonnegative(env, flags.mttr)) {
-      flags.any = true;
-    } else {
-      std::cerr << "rlb: ignoring bad RLB_MTTR '" << env << "'\n";
-      flags.mttr = 0.0;
-    }
-  }
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--fail-rate" && i + 1 < argc) {
-      const std::string value = argv[++i];
-      if (parse_nonnegative(value, flags.fail_rate) &&
-          flags.fail_rate <= 1.0) {
-        flags.any = true;
-      } else {
-        std::cerr << "rlb: ignoring bad --fail-rate '" << value
-                  << "' (want a probability in [0, 1])\n";
-        flags.fail_rate = 0.0;
-      }
-    } else if (flag == "--mttr" && i + 1 < argc) {
-      const std::string value = argv[++i];
-      if (parse_nonnegative(value, flags.mttr)) {
-        flags.any = true;
-      } else {
-        std::cerr << "rlb: ignoring bad --mttr '" << value
-                  << "' (want steps >= 0)\n";
-        flags.mttr = 0.0;
-      }
-    } else if (flag == "--fail-rate" || flag == "--mttr") {
-      std::cerr << "rlb: " << flag << " requires a value\n";
-    }
-  }
-  return flags;
+void add_fault_flags(harness::Flags& flags, FaultFlags& faults) {
+  flags
+      .custom("--fail-rate", "p",
+              "per-server per-step crash probability in [0, 1]; replaces\n"
+              "the built-in sweep with this one operating point",
+              "", fault_parser("--fail-rate", 1.0, faults.fail_rate, faults.any,
+                               "a probability in [0, 1]"))
+      .env("RLB_FAIL_RATE")
+      .custom("--mttr", "steps",
+              "mean time to recovery in steps (0 = never recover)", "",
+              fault_parser("--mttr", std::numeric_limits<double>::max(),
+                           faults.mttr, faults.any, "steps >= 0"))
+      .env("RLB_MTTR");
 }
 
 }  // namespace rlb::bench

@@ -11,9 +11,11 @@
 namespace rlb::bench {
 
 using harness::BalancerFactory;
+using harness::Flags;
 using harness::TrialAggregate;
 using harness::WorkloadFactory;
 
+using harness::add_output_flags;
 using harness::emit;
 using harness::init_output;
 using harness::json_enabled;
@@ -34,8 +36,8 @@ struct FaultFlags {
   double mttr = 0.0;
 };
 
-/// Parse the fault flags from argv (env vars first, flags override).
-/// Unparseable values warn on stderr and keep the defaults.
-FaultFlags parse_fault_flags(int argc, char** argv);
+/// Declare the fault flags in `flags`, writing into `faults`.  A bad value
+/// warns on stderr and keeps the default.
+void add_fault_flags(harness::Flags& flags, FaultFlags& faults);
 
 }  // namespace rlb::bench

@@ -10,12 +10,13 @@
 //   $ ./capacity_planner                       # defaults: m=1024, repeated
 //   $ ./capacity_planner --workload zipf --servers 4096
 //
-// Flags: --servers N, --steps N, --workload repeated|zipf|churn, --seed N
+// Flags: see --help.
 #include <iostream>
 #include <memory>
 #include <string>
 
 #include "core/simulator.hpp"
+#include "harness/flags.hpp"
 #include "policies/factory.hpp"
 #include "report/table.hpp"
 #include "workloads/phased_churn.hpp"
@@ -75,23 +76,13 @@ bool clean_at(const std::string& policy, unsigned g, const Options& options) {
 
 int main(int argc, char** argv) {
   Options options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto value = [&] { return std::string(argv[++i]); };
-    if (flag == "--servers" && i + 1 < argc) {
-      options.servers = std::stoull(value());
-    } else if (flag == "--steps" && i + 1 < argc) {
-      options.steps = std::stoull(value());
-    } else if (flag == "--workload" && i + 1 < argc) {
-      options.workload = value();
-    } else if (flag == "--seed" && i + 1 < argc) {
-      options.seed = std::stoull(value());
-    } else {
-      std::cout << "usage: capacity_planner [--servers N] [--steps N] "
-                   "[--workload repeated|zipf|churn] [--seed N]\n";
-      return 1;
-    }
-  }
+  harness::Flags flags(
+      "Minimum processing rate g for zero rejections, per policy.");
+  flags.num("--servers", "n", "servers m", options.servers)
+      .num("--steps", "n", "simulated steps per trial", options.steps)
+      .text("--workload", "name", "repeated | zipf | churn", options.workload)
+      .num("--seed", "n", "master seed", options.seed);
+  flags.parse(argc, argv);
 
   std::cout << "capacity_planner — minimum g for zero rejections (m = "
             << options.servers << ", workload = " << options.workload

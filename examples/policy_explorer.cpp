@@ -7,14 +7,7 @@
 //         --servers 4096 --steps 500 --g 16 --seed 3
 //   $ ./policy_explorer --policy all --workload repeated
 //
-// Flags:
-//   --policy    greedy | greedy-d1 | delayed-cuckoo | random-of-d |
-//               per-step-greedy | round-robin | all        (default greedy)
-//   --workload  repeated | fresh | zipf | churn | mixed    (default repeated)
-//   --servers N (default 1024)   --steps N   (default 200)
-//   --d N       (default 2)      --g N       (default 8)
-//   --q N       (0 = theorem default; default 0)
-//   --seed N    (default 1)
+// Flags: see --help.
 #include <cstdint>
 #include <iostream>
 #include <memory>
@@ -22,6 +15,7 @@
 #include <vector>
 
 #include "core/simulator.hpp"
+#include "harness/flags.hpp"
 #include "policies/factory.hpp"
 #include "report/table.hpp"
 #include "workloads/fresh_uniform.hpp"
@@ -45,39 +39,6 @@ struct Options {
   std::size_t q = 0;
   std::uint64_t seed = 1;
 };
-
-bool parse(int argc, char** argv, Options& options) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) throw std::invalid_argument("missing value: " + flag);
-      return argv[++i];
-    };
-    if (flag == "--policy") {
-      options.policy = value();
-    } else if (flag == "--workload") {
-      options.workload = value();
-    } else if (flag == "--servers") {
-      options.servers = std::stoull(value());
-    } else if (flag == "--steps") {
-      options.steps = std::stoull(value());
-    } else if (flag == "--d") {
-      options.d = static_cast<unsigned>(std::stoul(value()));
-    } else if (flag == "--g") {
-      options.g = static_cast<unsigned>(std::stoul(value()));
-    } else if (flag == "--q") {
-      options.q = std::stoull(value());
-    } else if (flag == "--seed") {
-      options.seed = std::stoull(value());
-    } else if (flag == "--help" || flag == "-h") {
-      return false;
-    } else {
-      std::cerr << "unknown flag: " << flag << "\n";
-      return false;
-    }
-  }
-  return true;
-}
 
 std::unique_ptr<core::Workload> make_workload(const Options& options) {
   const std::size_t count = options.servers;
@@ -133,15 +94,22 @@ void run_one(const std::string& policy_name, const Options& options,
 
 int main(int argc, char** argv) {
   Options options;
+  harness::Flags flags("Run any (policy, workload) cell of the design space.");
+  flags
+      .text("--policy", "name",
+            "greedy | greedy-d1 | delayed-cuckoo | random-of-d |\n"
+            "per-step-greedy | round-robin | all",
+            options.policy)
+      .text("--workload", "name", "repeated | fresh | zipf | churn | mixed",
+            options.workload)
+      .num("--servers", "n", "servers m", options.servers)
+      .num("--steps", "n", "simulated steps", options.steps)
+      .num("--d", "n", "replication", options.d)
+      .num("--g", "n", "processing rate", options.g)
+      .num("--q", "n", "queue bound; 0 = theorem default", options.q)
+      .num("--seed", "n", "master seed", options.seed);
+  flags.parse(argc, argv);
   try {
-    if (!parse(argc, argv, options)) {
-      std::cout << "usage: policy_explorer [--policy NAME|all] [--workload "
-                   "repeated|fresh|zipf|churn|mixed]\n"
-                   "                       [--servers N] [--steps N] [--d N] "
-                   "[--g N] [--q N] [--seed N]\n";
-      return 1;
-    }
-
     std::cout << "policy_explorer: m=" << options.servers
               << " steps=" << options.steps << " d=" << options.d
               << " g=" << options.g << " q="

@@ -207,7 +207,8 @@ struct Waiting {
   std::uint64_t request_id = 0;
   core::ChunkId chunk = 0;
   std::uint64_t enqueue_tick = 0;
-  // obs::now_ns() at submit(); anchors the wire-to-response latency probe.
+  // obs::now_ns() at submit_batch(); anchors the wire-to-response latency
+  // probe.
   std::uint64_t submit_ns = 0;
   // Waiting-room depth observed at admission (span annotation).
   std::uint64_t queue_depth = 0;
@@ -287,8 +288,8 @@ struct ServingEngine::Impl {
     // STATS snapshot ships; see net::LatencyStats).
     net::AtomicLatency latency;
 
-    // Queue-wait decomposition (v3 stats): submit() to drain-tick delivery
-    // — the MPSC queue + waiting-room share of the latency above.
+    // Queue-wait decomposition (v3 stats): submit_batch() to drain-tick
+    // delivery — the MPSC queue + waiting-room share of the latency above.
     net::AtomicLatency queue_wait;
 
     // Per-server backlog, refreshed once per tick from the balancer.  The
@@ -483,7 +484,7 @@ std::size_t ServingEngine::Impl::Shard::build_batch(
   std::unordered_set<core::ChunkId> in_batch;
   std::vector<Waiting> deferred;  // duplicate chunks -> next tick
   // One clock read covers every delivery this tick; queue wait is
-  // submit() -> here (MPSC queue + waiting room).
+  // submit_batch() -> here (MPSC queue + waiting room).
   const std::uint64_t deliver_ns = waiting.empty() ? 0 : obs::now_ns();
   while (!waiting.empty() && batch.size() < max_batch) {
     Waiting request = waiting.front();
@@ -792,38 +793,6 @@ void ServingEngine::stop() {
   }
 }
 
-bool ServingEngine::submit(std::uint64_t conn_token, std::uint64_t request_id,
-                           store::KeyId key) {
-  return submit(conn_token, request_id, key, obs::TraceContext{});
-}
-
-bool ServingEngine::submit(std::uint64_t conn_token, std::uint64_t request_id,
-                           store::KeyId key, const obs::TraceContext& trace) {
-  if (!impl_->accepting.load(std::memory_order_acquire)) return false;
-  const core::ChunkId chunk = impl_->mapper->chunk_of(key);
-  Impl::Shard& shard = *impl_->shards[hashing::hash_to_bucket(
-      chunk, impl_->shard_hash_seed, impl_->shards.size())];
-  Waiting request;
-  request.conn_token = conn_token;
-  request.request_id = request_id;
-  request.chunk = chunk;
-  request.submit_ns = obs::now_ns();
-  request.trace = trace;
-  bool was_empty = false;
-  {
-    std::lock_guard lock(shard.mutex);
-    if (shard.stopping) return false;
-    was_empty = shard.inbound.empty();
-    shard.inbound.push_back(request);
-  }
-  impl_->submitted.fetch_add(1, std::memory_order_relaxed);
-  shard.submitted.fetch_add(1, std::memory_order_relaxed);
-  shard.inbound_depth.fetch_add(1, std::memory_order_relaxed);
-  impl_->win_latency.add(Impl::kWinSubmitted);
-  if (was_empty) shard.cv.notify_one();
-  return true;
-}
-
 void ServingEngine::submit_batch(const SubmitItem* items, std::size_t count,
                                  std::vector<std::size_t>& rejected) {
   if (count == 0) return;
@@ -1065,6 +1034,28 @@ core::ChunkId ServingEngine::chunk_of(store::KeyId key) const {
 std::size_t ServingEngine::shard_of_chunk(core::ChunkId chunk) const {
   return static_cast<std::size_t>(hashing::hash_to_bucket(
       chunk, impl_->shard_hash_seed, impl_->shards.size()));
+}
+
+void submit_requests(ServingEngine& engine, net::NetServer& server,
+                     const net::ServerRequest* batch, std::size_t count) {
+  // Scratch lives across calls (the server's loop thread is the steady-
+  // state caller): zero allocations once warm.
+  thread_local std::vector<ServingEngine::SubmitItem> items;
+  thread_local std::vector<std::size_t> rejected;
+  items.clear();
+  rejected.clear();
+  items.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    items.push_back({batch[i].conn_token, batch[i].msg.request_id,
+                     batch[i].msg.key, batch[i].msg.trace});
+  }
+  engine.submit_batch(items.data(), count, rejected);
+  for (const std::size_t i : rejected) {
+    net::ResponseMsg msg;
+    msg.request_id = batch[i].msg.request_id;
+    msg.status = net::Status::kError;
+    server.send_response(batch[i].conn_token, msg);
+  }
 }
 
 }  // namespace rlb::engine

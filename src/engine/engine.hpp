@@ -34,6 +34,7 @@
 
 #include "core/failure.hpp"
 #include "core/types.hpp"
+#include "net/server.hpp"
 #include "net/stats.hpp"
 #include "obs/span.hpp"
 #include "store/key_mapper.hpp"
@@ -154,19 +155,6 @@ class ServingEngine {
   /// workers.  Idempotent.
   void stop();
 
-  /// Route GET(key).  Thread-safe.  Returns false when the engine is not
-  /// accepting (the caller answers the client with an error).
-  bool submit(std::uint64_t conn_token, std::uint64_t request_id,
-              store::KeyId key);
-
-  /// Route GET(key) carrying a trace context.  A valid context rides the
-  /// request through the MPSC queue and waiting room into the drain tick;
-  /// when the response is delivered an `engine.request` span (parented to
-  /// the context) lands in the process's SpanRecorder.  An invalid context
-  /// behaves exactly like the three-argument overload.
-  bool submit(std::uint64_t conn_token, std::uint64_t request_id,
-              store::KeyId key, const obs::TraceContext& trace);
-
   /// One request in a submit_batch() call.
   struct SubmitItem {
     std::uint64_t conn_token = 0;
@@ -175,13 +163,16 @@ class ServingEngine {
     obs::TraceContext trace;
   };
 
-  /// Batched submit for a server wakeup's worth of requests: items are
-  /// grouped by destination shard so each shard's mutex is taken — and
-  /// its worker woken — at most once per call instead of once per
-  /// request.  Indices of items that were NOT admitted (engine not
+  /// Route GET(key) for a server wakeup's worth of requests — the one
+  /// entry point.  Items are grouped by destination shard so each shard's
+  /// mutex is taken — and its worker woken — at most once per call.  A
+  /// valid trace context rides its request through the MPSC queue and
+  /// waiting room into the drain tick, and an `engine.request` span
+  /// (parented to it) lands in the SpanRecorder when the response is
+  /// delivered.  Indices of items that were NOT admitted (engine not
   /// accepting, or shard stopping) are appended to `rejected`; the caller
-  /// answers those with an error, exactly as for a false submit().
-  /// `rejected` is not cleared first.  Thread-safe.
+  /// answers those with an error.  `rejected` is not cleared first.
+  /// Thread-safe.
   void submit_batch(const SubmitItem* items, std::size_t count,
                     std::vector<std::size_t>& rejected);
 
@@ -217,5 +208,11 @@ class ServingEngine {
   struct Impl;
   Impl* impl_;
 };
+
+/// The request wiring of rlbd and the loopback fixtures: hand one NetServer
+/// wakeup's REQUEST frames to engine.submit_batch() and answer every
+/// refused one with a kError RESPONSE.
+void submit_requests(ServingEngine& engine, net::NetServer& server,
+                     const net::ServerRequest* batch, std::size_t count);
 
 }  // namespace rlb::engine

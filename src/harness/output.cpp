@@ -109,69 +109,57 @@ void enable_probes() {
   }
 }
 
-bool env_truthy(const char* value) {
-  const std::string v = value;
-  return !v.empty() && v != "0" && v != "false" && v != "off";
-}
-
 // The trace is only written at exit, so an unwritable path would otherwise
 // fail silently after the whole run; probe it up front and fail loudly —
 // a user who asked for a trace wants the run to stop rather than silently
 // produce nothing (CI would green-light an empty artifact).
-void set_trace_file_checked(const std::string& path) {
-  {
-    std::ofstream probe(path, std::ios::app);
-    if (!probe) {
-      std::cerr << "rlb: cannot open trace file '" << path << "'\n";
-      std::exit(2);
-    }
+std::string set_trace_file_checked(const std::string& path) {
+  if (!std::ofstream(path, std::ios::app)) {
+    return "cannot open trace file '" + path + "'";
   }
   obs::set_trace_file(path);
+  return "";
 }
 
 }  // namespace
 
+void add_output_flags(Flags& flags, bool json) {
+  flags
+      .custom("--format", "text|csv|markdown", "table output format", "text",
+              [](const std::string& value) {
+                if (!parse_format(value, g_format)) {
+                  std::cerr << "rlb: ignoring unknown table format '" << value
+                            << "' (text|csv|markdown)\n";
+                }
+                return std::string();
+              })
+      .env("RLB_TABLE_FORMAT")
+      .custom("--trace", "path",
+              "record an event trace, written at exit\n"
+              "(Chrome trace JSON; JSON Lines for a .jsonl path)",
+              "", &set_trace_file_checked)
+      .env("RLB_TRACE")
+      .action("--trace-detail", "also trace per-request lifecycle events",
+              [] { obs::set_detail(true); })
+      .env("RLB_TRACE_DETAIL")
+      .action("--probes", "print the merged probe table at exit",
+              &enable_probes)
+      .env("RLB_PROBES");
+  if (json) {
+    flags
+        .custom("--json", "path", "also write the run's tables as JSON", "",
+                [](const std::string& path) {
+                  set_json_file(path);
+                  return std::string();
+                })
+        .env("RLB_JSON");
+  }
+}
+
 void init_output(int argc, char** argv) {
-  // Environment first, flags override.
-  if (const char* env = std::getenv("RLB_TABLE_FORMAT")) {
-    if (!parse_format(env, g_format)) {
-      std::cerr << "rlb: ignoring unknown RLB_TABLE_FORMAT '" << env << "'\n";
-    }
-  }
-  if (const char* env = std::getenv("RLB_TRACE")) {
-    if (*env != '\0') set_trace_file_checked(env);
-  }
-  if (const char* env = std::getenv("RLB_TRACE_DETAIL")) {
-    if (env_truthy(env)) obs::set_detail(true);
-  }
-  if (const char* env = std::getenv("RLB_PROBES")) {
-    if (env_truthy(env)) enable_probes();
-  }
-  if (const char* env = std::getenv("RLB_JSON")) {
-    if (*env != '\0') set_json_file(env);
-  }
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--json" && i + 1 < argc) {
-      set_json_file(argv[++i]);
-    } else if (flag == "--json") {
-      std::cerr << "rlb: --json requires a file path\n";
-    } else if (flag == "--format" && i + 1 < argc) {
-      const std::string value = argv[++i];
-      if (!parse_format(value, g_format)) {
-        std::cerr << "rlb: ignoring unknown --format '" << value
-                  << "' (text|csv|markdown)\n";
-      }
-    } else if (flag == "--trace" && i + 1 < argc) {
-      set_trace_file_checked(argv[++i]);
-    } else if (flag == "--trace") {
-      std::cerr << "rlb: --trace requires a file path\n";
-    } else if (flag == "--trace-detail") {
-      obs::set_detail(true);
-    } else if (flag == "--probes") {
-      enable_probes();
-    }
-  }
+  Flags flags;
+  add_output_flags(flags);
+  flags.parse(argc, argv);
 }
 
 void set_table_format(TableFormat format) { g_format = format; }

@@ -18,16 +18,24 @@
 
 #include <ostream>
 
+#include "harness/flags.hpp"
 #include "report/table.hpp"
 
 namespace rlb::harness {
 
 enum class TableFormat { kText, kCsv, kMarkdown };
 
-/// Parse --format/--trace/--probes/--json from argv (and the
-/// RLB_TABLE_FORMAT, RLB_TRACE, RLB_PROBES, RLB_JSON environment variables
-/// as fallbacks) and configure the process-wide output + observability
-/// state.  Unknown values keep the defaults and print a warning to stderr.
+/// Declare the output and observability flags every table-printing binary
+/// shares — --format, --trace, --trace-detail, --probes and, unless the
+/// binary gives --json a meaning of its own, --json — with their
+/// RLB_TABLE_FORMAT, RLB_TRACE, RLB_TRACE_DETAIL, RLB_PROBES and RLB_JSON
+/// environment fallbacks.  An unknown format keeps the default with a
+/// warning; an unwritable trace path is rejected.
+void add_output_flags(Flags& flags, bool json = true);
+
+/// Parse argv against a table of only the output flags (for binaries with
+/// no flags of their own) and configure the process-wide output and
+/// observability state.
 void init_output(int argc, char** argv);
 
 // -- Machine-readable results (--json <path>) ----------------------------

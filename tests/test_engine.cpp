@@ -40,6 +40,15 @@ class Collector {
   std::vector<EngineResponse> responses_;
 };
 
+/// One request through submit_batch(); true when it was admitted.
+bool submit_one(ServingEngine& engine, std::uint64_t conn_token,
+                std::uint64_t request_id, store::KeyId key) {
+  const ServingEngine::SubmitItem item{conn_token, request_id, key, {}};
+  std::vector<std::size_t> rejected;
+  engine.submit_batch(&item, 1, rejected);
+  return rejected.empty();
+}
+
 TEST(ServingEngine, AnswersEveryRequestExactlyOnce) {
   Collector collector;
   EngineConfig config;
@@ -51,8 +60,8 @@ TEST(ServingEngine, AnswersEveryRequestExactlyOnce) {
   engine.start();
   const std::uint64_t n = 5000;
   for (std::uint64_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(engine.submit(/*conn_token=*/i % 7, /*request_id=*/i,
-                              /*key=*/i * 977));
+    ASSERT_TRUE(submit_one(engine, /*conn_token=*/i % 7, /*request_id=*/i,
+                           /*key=*/i * 977));
   }
   engine.stop();
 
@@ -86,7 +95,7 @@ TEST(ServingEngine, LightLoadIsAllServed) {
   ServingEngine engine(config, collector.fn());
   engine.start();
   for (std::uint64_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(engine.submit(0, i, i));
+    ASSERT_TRUE(submit_one(engine, 0, i, i));
   }
   engine.stop();
   const EngineStats stats = engine.stats();
@@ -101,9 +110,12 @@ TEST(ServingEngine, SubmitAfterStopIsRefused) {
   config.servers = 8;
   ServingEngine engine(config, collector.fn());
   engine.start();
-  EXPECT_TRUE(engine.submit(0, 1, 1));
+  EXPECT_TRUE(submit_one(engine, 0, 1, 1));
   engine.stop();
-  EXPECT_FALSE(engine.submit(0, 2, 2));
+  const ServingEngine::SubmitItem items[] = {{0, 2, 2, {}}, {0, 3, 3, {}}};
+  std::vector<std::size_t> rejected = {7};  // appended to, not cleared
+  engine.submit_batch(items, 2, rejected);
+  EXPECT_EQ(rejected, (std::vector<std::size_t>{7, 0, 1}));
 }
 
 TEST(ServingEngine, ShardingIsConsistentAndTotal) {
@@ -166,7 +178,7 @@ TEST(ServingEngine, ScriptedCrashDegradesWithoutDeadlock) {
   engine.start();
   const std::uint64_t n = 20000;
   for (std::uint64_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(engine.submit(0, i, i * 31));
+    ASSERT_TRUE(submit_one(engine, 0, i, i * 31));
   }
   engine.stop();  // must not deadlock even with queues frozen on down servers
 
@@ -195,7 +207,7 @@ TEST(ServingEngine, RecoveryRestoresServers) {
   ServingEngine engine(config, collector.fn());
   engine.start();
   for (std::uint64_t i = 0; i < 5000; ++i) {
-    ASSERT_TRUE(engine.submit(0, i, i));
+    ASSERT_TRUE(submit_one(engine, 0, i, i));
   }
   engine.stop();
   const EngineStats stats = engine.stats();

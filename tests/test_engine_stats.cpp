@@ -37,6 +37,15 @@ engine::EngineConfig small_config(std::size_t shards) {
   return config;
 }
 
+/// One request through submit_batch().
+void submit_one(engine::ServingEngine& engine, std::uint64_t conn_token,
+                std::uint64_t request_id, store::KeyId key) {
+  const engine::ServingEngine::SubmitItem item{conn_token, request_id, key,
+                                               {}};
+  std::vector<std::size_t> rejected;
+  engine.submit_batch(&item, 1, rejected);
+}
+
 TEST(EngineStatsSnapshot, ConcurrentScrapeSeesMonotoneCounters) {
   std::atomic<std::uint64_t> responses{0};
   engine::ServingEngine engine(
@@ -54,7 +63,7 @@ TEST(EngineStatsSnapshot, ConcurrentScrapeSeesMonotoneCounters) {
     submitters.emplace_back([&engine, s] {
       for (std::uint64_t i = 0; i < kPerSubmitter; ++i) {
         const std::uint64_t id = (static_cast<std::uint64_t>(s) << 40) + i;
-        engine.submit(/*conn_token=*/s, id, /*key=*/id * 2654435761u);
+        submit_one(engine, /*conn_token=*/s, id, /*key=*/id * 2654435761u);
       }
     });
   }
@@ -120,7 +129,7 @@ TEST(EngineStatsSnapshot, ReportsConfigAndSafeSetShape) {
   engine::ServingEngine engine(config, [](const engine::EngineResponse&) {});
   engine.start();
   for (std::uint64_t i = 0; i < 5000; ++i) {
-    engine.submit(0, i, i * 40503u);
+    submit_one(engine, 0, i, i * 40503u);
   }
   engine.stop();
 
@@ -150,13 +159,14 @@ TEST(EngineStatsSnapshot, StatsOverLiveNetServer) {
   net::ServerConfig net_config;  // ephemeral loopback port
   net::NetServer server(
       net_config, [&engine_raw, &server](std::uint64_t token,
-                                         const net::RequestMsg& request) {
-        if (!engine_raw->submit(token, request.request_id, request.key)) {
-          net::ResponseMsg msg;
-          msg.request_id = request.request_id;
-          msg.status = net::Status::kError;
-          server.send_response(token, msg);
-        }
+                                         const net::RequestMsg& msg) {
+        const net::ServerRequest one{token, msg};
+        engine::submit_requests(*engine_raw, server, &one, 1);
+      });
+  server.set_request_batch_handler(
+      [&engine_raw, &server](const net::ServerRequest* batch,
+                             std::size_t count) {
+        engine::submit_requests(*engine_raw, server, batch, count);
       });
   engine::ServingEngine engine(
       small_config(/*shards=*/2), [&server](const engine::EngineResponse& r) {
@@ -231,7 +241,7 @@ TEST(EngineStatsSnapshot, SafeSetMonitorSeesInjectedBacklog) {
   engine::ServingEngine engine(config, [](const engine::EngineResponse&) {});
   engine.start();
   for (std::uint64_t i = 0; i < 4000; ++i) {
-    engine.submit(0, i, i * 2654435761u);
+    submit_one(engine, 0, i, i * 2654435761u);
   }
 
   net::StatsSnapshot snapshot;

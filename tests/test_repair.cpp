@@ -253,15 +253,13 @@ class RepairBackend {
     net::ServerConfig net_config;
     net_config.port = port;
     server_ = std::make_unique<net::NetServer>(
-        net_config,
-        [this](std::uint64_t token, const net::RequestMsg& request) {
-          if (!engine_->submit(token, request.request_id, request.key,
-                               request.trace)) {
-            net::ResponseMsg msg;
-            msg.request_id = request.request_id;
-            msg.status = net::Status::kError;
-            server_->send_response(token, msg);
-          }
+        net_config, [this](std::uint64_t token, const net::RequestMsg& msg) {
+          const net::ServerRequest one{token, msg};
+          engine::submit_requests(*engine_, *server_, &one, 1);
+        });
+    server_->set_request_batch_handler(
+        [this](const net::ServerRequest* batch, std::size_t count) {
+          engine::submit_requests(*engine_, *server_, batch, count);
         });
     engine_ = std::make_unique<engine::ServingEngine>(
         config, [this](const engine::EngineResponse& r) {
