@@ -19,7 +19,7 @@
 // the engine sees exactly the model's chunk sequence.
 //
 // Reports throughput, rejection/error rates, and end-to-end latency
-// quantiles (p50/p95/p99, microseconds, via stats::CountingHistogram), plus
+// quantiles (p50/p95/p99, microseconds, via obs::LogHistogram), plus
 // the server-assigned wait_steps distribution.  --json <path> additionally
 // writes the summary as a machine-readable JSON object.
 #include <algorithm>
@@ -40,9 +40,9 @@
 #include "harness/output.hpp"
 #include "net/client.hpp"
 #include "net/wire.hpp"
+#include "obs/histogram.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
-#include "stats/histogram.hpp"
 #include "stats/rng.hpp"
 #include "workloads/fresh_uniform.hpp"
 #include "workloads/repeated_set.hpp"
@@ -73,9 +73,8 @@ struct Options {
   std::string trace_path;
   std::uint64_t seed = 1;
   std::string json_path;
-  std::size_t latency_cap_us = 200000;  // histogram exact range
-  double rate = 0.0;                    // total offered req/s; 0 = closed loop
-  std::uint64_t drain_ms = 2000;        // open-loop post-schedule listen window
+  double rate = 0.0;              // total offered req/s; 0 = closed loop
+  std::uint64_t drain_ms = 2000;  // open-loop post-schedule listen window
   // Distributed tracing: > 0 puts a TraceContext on every REQUEST frame and
   // marks this fraction of them head-sampled (the rest survive only via
   // tail sampling at each hop's recorder: slow or rejected).
@@ -92,8 +91,8 @@ struct WorkerResult {
   std::uint64_t errors = 0;
   std::uint64_t unanswered = 0;  // open loop: still in flight at drain end
   std::uint64_t protocol_errors = 0;
-  stats::CountingHistogram latency_us{0};
-  stats::CountingHistogram wait_steps{1024};
+  obs::LogHistogram latency_us;
+  obs::LogHistogram wait_steps;
 };
 
 // Statuses 0..2 come from a backend's balancer; 3..4 are hop-level verdicts
@@ -104,8 +103,8 @@ void classify(const net::ResponseMsg& response, std::uint64_t us,
               WorkerResult& result) {
   if (response.status == net::Status::kOk) {
     ++result.ok;
-    result.latency_us.add(us);
-    result.wait_steps.add(response.wait_steps);
+    result.latency_us.record(us);
+    result.wait_steps.record(response.wait_steps);
   } else if (net::is_reject(response.status)) {
     ++result.rejected;
     if (response.status == net::Status::kRejectUpstreamDown) {
@@ -113,7 +112,7 @@ void classify(const net::ResponseMsg& response, std::uint64_t us,
     } else if (response.status == net::Status::kRejectUpstreamTimeout) {
       ++result.rejected_upstream_timeout;
     }
-    result.latency_us.add(us);
+    result.latency_us.record(us);
   } else {
     ++result.errors;
   }
@@ -249,7 +248,6 @@ std::unique_ptr<KeyStream> make_stream(const Options& options,
 void run_worker(const Options& options, std::size_t worker,
                 std::uint64_t quota, const workloads::Trace* trace,
                 WorkerResult& result) {
-  result.latency_us = stats::CountingHistogram(options.latency_cap_us);
   std::unique_ptr<KeyStream> stream = make_stream(options, worker, trace);
   net::Client client;
   try {
@@ -332,7 +330,6 @@ void run_worker(const Options& options, std::size_t worker,
 void run_worker_open_loop(const Options& options, std::size_t worker,
                           std::uint64_t quota, double rate_share,
                           const workloads::Trace* trace, WorkerResult& result) {
-  result.latency_us = stats::CountingHistogram(options.latency_cap_us);
   std::unique_ptr<KeyStream> stream = make_stream(options, worker, trace);
   net::Client client;
   try {
@@ -526,7 +523,6 @@ int main(int argc, char** argv) {
           .count();
 
   WorkerResult total;
-  total.latency_us = stats::CountingHistogram(options.latency_cap_us);
   for (const WorkerResult& r : results) {
     total.sent += r.sent;
     total.ok += r.ok;
@@ -565,10 +561,10 @@ int main(int argc, char** argv) {
             << "  latency_us p50=" << total.latency_us.quantile(0.50)
             << " p95=" << total.latency_us.quantile(0.95)
             << " p99=" << total.latency_us.quantile(0.99)
-            << " max=" << total.latency_us.max_observed() << "\n"
+            << " max=" << total.latency_us.max << "\n"
             << "  wait_steps p50=" << total.wait_steps.quantile(0.50)
             << " p99=" << total.wait_steps.quantile(0.99)
-            << " max=" << total.wait_steps.max_observed() << std::endl;
+            << " max=" << total.wait_steps.max << std::endl;
 
   if (!options.json_path.empty()) {
     std::ofstream os(options.json_path);
@@ -595,10 +591,10 @@ int main(int argc, char** argv) {
        << "  \"latency_us\": {\"p50\": " << total.latency_us.quantile(0.50)
        << ", \"p95\": " << total.latency_us.quantile(0.95) << ", \"p99\": "
        << total.latency_us.quantile(0.99) << ", \"max\": "
-       << total.latency_us.max_observed() << "},\n"
+       << total.latency_us.max << "},\n"
        << "  \"wait_steps\": {\"p50\": " << total.wait_steps.quantile(0.50)
        << ", \"p99\": " << total.wait_steps.quantile(0.99) << ", \"max\": "
-       << total.wait_steps.max_observed() << "}\n"
+       << total.wait_steps.max << "}\n"
        << "}\n";
   }
 

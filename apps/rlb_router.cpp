@@ -167,8 +167,7 @@ int main(int argc, char** argv) {
       const net::ShardStats totals = snap.totals();
       obs::HealthSample sample;
       sample.safe_worst_ratio = snap.safe_worst_ratio;
-      sample.win_p99_us =
-          static_cast<std::uint64_t>(snap.win_hop_rtt.quantile_us(0.99));
+      sample.win_p99_us = snap.win_hop_rtt.quantile(0.99);
       sample.down_count = totals.servers_down;
       // totals() keeps the max of max_batch; the flap rule needs the SUM of
       // per-backend mark-down counts (row.max_batch carries them).

@@ -55,6 +55,23 @@ struct WatchDelta {
   std::uint64_t rejected = 0;
 };
 
+/// `<name>: count=.. p50=.. p95=.. p99=.. max=..` for one histogram.
+void print_histogram(const char* name, const rlb::obs::LogHistogram& h) {
+  std::cout << name << ": count=" << h.count << " p50=" << h.quantile(0.5)
+            << " p95=" << h.quantile(0.95) << " p99=" << h.quantile(0.99)
+            << " max=" << h.max << "\n";
+}
+
+/// Windowed p50/p99 beside the lifetime ones, when the window has samples.
+void print_window(const char* name, const rlb::obs::LogHistogram& window,
+                  const rlb::obs::LogHistogram& lifetime) {
+  if (window.count == 0) return;
+  std::cout << "  win_" << name << ": p50=" << window.quantile(0.5)
+            << " p99=" << window.quantile(0.99)
+            << " (lifetime p50=" << lifetime.quantile(0.5)
+            << " p99=" << lifetime.quantile(0.99) << ")\n";
+}
+
 void print_pretty(const rlb::net::StatsSnapshot& snapshot,
                   const WatchDelta* delta = nullptr) {
   using rlb::report::Table;
@@ -102,11 +119,7 @@ void print_pretty(const rlb::net::StatsSnapshot& snapshot,
       .cell(totals.ticks);
   shards.print(std::cout);
 
-  std::cout << "latency_us: count=" << snapshot.latency.count
-            << " p50=" << snapshot.latency.quantile_us(0.5)
-            << " p95=" << snapshot.latency.quantile_us(0.95)
-            << " p99=" << snapshot.latency.quantile_us(0.99)
-            << " max=" << snapshot.latency.max_us << "\n";
+  print_histogram("latency_us", snapshot.latency);
 
   // Health plane (v5): the trailing-window view.  Windowed quantiles sit
   // next to their lifetime counterparts so an incident's p99 spike is
@@ -122,27 +135,10 @@ void print_pretty(const rlb::net::StatsSnapshot& snapshot,
               << static_cast<std::uint64_t>(
                      static_cast<double>(snapshot.win_completed) / span_s)
               << "\n";
-    if (snapshot.win_latency.count > 0) {
-      std::cout << "  win_latency_us: p50="
-                << snapshot.win_latency.quantile_us(0.5)
-                << " p99=" << snapshot.win_latency.quantile_us(0.99)
-                << " (lifetime p50=" << snapshot.latency.quantile_us(0.5)
-                << " p99=" << snapshot.latency.quantile_us(0.99) << ")\n";
-    }
-    if (snapshot.win_hop_rtt.count > 0) {
-      std::cout << "  win_hop_rtt_us: p50="
-                << snapshot.win_hop_rtt.quantile_us(0.5)
-                << " p99=" << snapshot.win_hop_rtt.quantile_us(0.99)
-                << " (lifetime p50=" << snapshot.hop_rtt.quantile_us(0.5)
-                << " p99=" << snapshot.hop_rtt.quantile_us(0.99) << ")\n";
-    }
-    if (snapshot.win_queue_wait.count > 0) {
-      std::cout << "  win_queue_wait_us: p50="
-                << snapshot.win_queue_wait.quantile_us(0.5)
-                << " p99=" << snapshot.win_queue_wait.quantile_us(0.99)
-                << " (lifetime p50=" << snapshot.queue_wait.quantile_us(0.5)
-                << " p99=" << snapshot.queue_wait.quantile_us(0.99) << ")\n";
-    }
+    print_window("latency_us", snapshot.win_latency, snapshot.latency);
+    print_window("hop_rtt_us", snapshot.win_hop_rtt, snapshot.hop_rtt);
+    print_window("queue_wait_us", snapshot.win_queue_wait,
+                 snapshot.queue_wait);
   }
 
   // --watch: deltas between this scrape and the previous one.
@@ -175,18 +171,10 @@ void print_pretty(const rlb::net::StatsSnapshot& snapshot,
   // Per-hop decomposition (v3): a router reports upstream RTTs, a backend
   // reports submit->drain-tick queue wait.  The counterpart stays empty.
   if (snapshot.hop_rtt.count > 0) {
-    std::cout << "hop_rtt_us: count=" << snapshot.hop_rtt.count
-              << " p50=" << snapshot.hop_rtt.quantile_us(0.5)
-              << " p95=" << snapshot.hop_rtt.quantile_us(0.95)
-              << " p99=" << snapshot.hop_rtt.quantile_us(0.99)
-              << " max=" << snapshot.hop_rtt.max_us << "\n";
+    print_histogram("hop_rtt_us", snapshot.hop_rtt);
   }
   if (snapshot.queue_wait.count > 0) {
-    std::cout << "queue_wait_us: count=" << snapshot.queue_wait.count
-              << " p50=" << snapshot.queue_wait.quantile_us(0.5)
-              << " p95=" << snapshot.queue_wait.quantile_us(0.95)
-              << " p99=" << snapshot.queue_wait.quantile_us(0.99)
-              << " max=" << snapshot.queue_wait.max_us << "\n";
+    print_histogram("queue_wait_us", snapshot.queue_wait);
   }
 
   // Repair plane (v4): epoch + migration counters, shown only once the
@@ -301,7 +289,7 @@ void print_cluster_pretty(const std::vector<ClusterRow>& rows) {
         .cell(t.backlog)
         .cell(t.servers_down)
         .cell(row.snapshot.placement_epoch)
-        .cell(row.snapshot.latency.quantile_us(0.99), 0)
+        .cell(row.snapshot.latency.quantile(0.99))
         .cell(row.snapshot.uptime_ms / 1000);
     if (row.snapshot.role == rlb::net::NodeRole::kBackend) {
       ++backends_seen;

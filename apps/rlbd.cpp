@@ -250,8 +250,7 @@ int main(int argc, char** argv) {
       const net::StatsSnapshot snap = engine.snapshot();
       obs::HealthSample sample;
       sample.safe_worst_ratio = snap.safe_worst_ratio;
-      sample.win_p99_us =
-          static_cast<std::uint64_t>(snap.win_latency.quantile_us(0.99));
+      sample.win_p99_us = snap.win_latency.quantile(0.99);
       sample.down_count = snap.totals().servers_down;
       sample.slow_consumer_drops = server.stats().slow_consumer_drops;
       watchdog.evaluate(sample);

@@ -37,8 +37,8 @@
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "net/wire.hpp"
+#include "obs/histogram.hpp"
 #include "repair/migrate_agent.hpp"
-#include "stats/histogram.hpp"
 #include "stats/rng.hpp"
 
 namespace {
@@ -52,7 +52,7 @@ struct RunResult {
   std::uint64_t errors = 0;
   std::uint64_t protocol_errors = 0;
   double elapsed_seconds = 0.0;
-  stats::CountingHistogram latency_us{200000};
+  obs::LogHistogram latency_us;
 };
 
 /// One rlbd-shaped backend with the repair agent installed.
@@ -172,7 +172,7 @@ void client_worker(std::uint16_t port, std::uint64_t quota,
       ++completed;
       if (response.status == net::Status::kOk) {
         ++result.ok;
-        result.latency_us.add(us);
+        result.latency_us.record(us);
       } else if (net::is_reject(response.status)) {
         ++result.rejected;
       } else {

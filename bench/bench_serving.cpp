@@ -31,7 +31,7 @@
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "net/stats.hpp"
-#include "stats/histogram.hpp"
+#include "obs/histogram.hpp"
 #include "stats/rng.hpp"
 
 namespace {
@@ -44,7 +44,7 @@ struct RunResult {
   std::uint64_t errors = 0;
   std::uint64_t protocol_errors = 0;
   double elapsed_seconds = 0.0;
-  stats::CountingHistogram latency_us{200000};
+  obs::LogHistogram latency_us;
 };
 
 // One in-run engine.snapshot() sample (see the scraper thread below).
@@ -112,7 +112,7 @@ void client_worker(std::uint16_t port, std::uint64_t quota, std::uint64_t seed,
         ++burst;
         if (response.status == net::Status::kOk) {
           ++result.ok;
-          result.latency_us.add(us);
+          result.latency_us.record(us);
         } else if (response.status == net::Status::kReject) {
           ++result.rejected;
         } else {
@@ -198,7 +198,7 @@ RunResult run_config(const std::string& policy, std::size_t shards,
         sample.inflight = totals.inflight;
         sample.waiting = totals.waiting_depth;
         sample.safe_worst_ratio = snapshot.safe_worst_ratio;
-        sample.wire_p99_us = snapshot.latency.quantile_us(0.99);
+        sample.wire_p99_us = snapshot.latency.quantile(0.99);
         samples->push_back(sample);
       }
     });

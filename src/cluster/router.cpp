@@ -466,8 +466,8 @@ struct Router::Impl {
     // sampled once per attempt.
     const std::uint64_t now = obs::now_ns();
     if (entry.send_ns != 0 && now > entry.send_ns) {
-      hop_rtt.observe_us((now - entry.send_ns) / 1000);
-      win_hop_rtt.observe_us((now - entry.send_ns) / 1000, now);
+      hop_rtt.record((now - entry.send_ns) / 1000);
+      win_hop_rtt.record((now - entry.send_ns) / 1000, now);
     }
     record_span(entry.trace, "router.hop", entry.hop_span_id,
                 hop_parent(entry), entry.send_ns,
@@ -789,10 +789,7 @@ struct Router::Impl {
     snap.win_submitted = win.counters[kWinForwarded];
     snap.win_completed = win.counters[kWinOk];
     snap.win_rejected = win.counters[kWinRejected];
-    snap.win_hop_rtt.count = win.count;
-    snap.win_hop_rtt.sum_us = win.sum_us;
-    snap.win_hop_rtt.max_us = win.max_us;
-    snap.win_hop_rtt.buckets = win.buckets;
+    snap.win_hop_rtt = win.hist;
     snap.active_alerts = obs::active_alerts();
     return snap;
   }
@@ -812,7 +809,7 @@ struct Router::Impl {
   std::atomic<std::uint64_t> pending_count{0};  ///< span queue_depth gauge
   Counters counters;
   std::vector<PerBackend> per_backend;
-  net::AtomicLatency hop_rtt;  ///< per-hop upstream RTT (v3 stats)
+  obs::AtomicLogHistogram hop_rtt;  ///< per-hop upstream RTT (v3 stats)
 
   // Health plane (v5): hop RTT over the trailing window; the counter
   // slots carry windowed forwarded/relayed-ok/rejected.

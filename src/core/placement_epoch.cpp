@@ -71,26 +71,30 @@ EpochedPlacement::EpochedPlacement(std::size_t servers, unsigned replication,
     : base_(servers, replication, seed, mode),
       overlay_(std::make_shared<const Overlay>()) {}
 
+std::shared_ptr<const EpochedPlacement::Overlay>
+EpochedPlacement::load_overlay() const {
+  std::lock_guard<std::mutex> lock(overlay_mu_);
+  return overlay_;
+}
+
 ChoiceList EpochedPlacement::choices(ChunkId chunk) const {
-  const std::shared_ptr<const Overlay> overlay =
-      overlay_.load(std::memory_order_acquire);
+  const std::shared_ptr<const Overlay> overlay = load_overlay();
   const auto it = overlay->choices.find(chunk);
   if (it != overlay->choices.end()) return it->second;
   return base_.choices(chunk);
 }
 
 std::uint64_t EpochedPlacement::epoch() const {
-  return overlay_.load(std::memory_order_acquire)->epoch;
+  return load_overlay()->epoch;
 }
 
 bool EpochedPlacement::apply(const PlacementDelta& delta) {
   std::lock_guard<std::mutex> lock(apply_mu_);
-  const std::shared_ptr<const Overlay> current =
-      overlay_.load(std::memory_order_acquire);
+  const std::shared_ptr<const Overlay> current = load_overlay();
   if (delta.epoch != current->epoch + 1) return false;
 
   // Build the successor off to the side; readers keep seeing `current`
-  // until the single publishing store below.
+  // until the single pointer store below.
   auto next = std::make_shared<Overlay>(*current);
   for (const ChunkRemap& remap : delta.remaps) {
     if (remap.from == remap.to) return false;
@@ -113,19 +117,20 @@ bool EpochedPlacement::apply(const PlacementDelta& delta) {
   }
   next->epoch = delta.epoch;
   next->history.push_back(delta);
-  overlay_.store(std::shared_ptr<const Overlay>(std::move(next)),
-                 std::memory_order_release);
+  // `current` keeps the old overlay alive, so it is freed after the
+  // readers' mutex is released, never while a reader waits on it.
+  std::lock_guard<std::mutex> publish(overlay_mu_);
+  overlay_ = std::move(next);
   return true;
 }
 
 std::vector<PlacementDelta> EpochedPlacement::history() const {
-  return overlay_.load(std::memory_order_acquire)->history;
+  return load_overlay()->history;
 }
 
 std::vector<PlacementDelta> EpochedPlacement::deltas_since(
     std::uint64_t epoch) const {
-  const std::shared_ptr<const Overlay> overlay =
-      overlay_.load(std::memory_order_acquire);
+  const std::shared_ptr<const Overlay> overlay = load_overlay();
   std::vector<PlacementDelta> out;
   for (const PlacementDelta& delta : overlay->history) {
     if (delta.epoch > epoch) out.push_back(delta);
@@ -134,7 +139,7 @@ std::vector<PlacementDelta> EpochedPlacement::deltas_since(
 }
 
 std::size_t EpochedPlacement::remapped_chunks() const {
-  return overlay_.load(std::memory_order_acquire)->choices.size();
+  return load_overlay()->choices.size();
 }
 
 }  // namespace rlb::core

@@ -9,13 +9,13 @@
 // PlacementDelta (chunk-level from→to remaps) on top, bumping a
 // monotonically increasing epoch number.
 //
-// Reads are lock-free RCU: choices() loads one
-// std::atomic<std::shared_ptr<const Overlay>> snapshot, so the router's
-// forwarding hot path never takes a lock and an in-flight request keeps
-// routing against the epoch it started on — cutover needs no
-// stop-the-world barrier.  Writers (the repair coordinator) serialize on
-// a mutex, build the next overlay off to the side, and publish it with
-// one atomic store.
+// Reads are RCU-style: choices() copies the current shared_ptr<const
+// Overlay> under a mutex held for that copy alone (ThreadSanitizer models
+// a mutex, not libstdc++'s atomic<shared_ptr> lock bit), so an in-flight
+// request keeps routing against the epoch it started on and cutover
+// needs no stop-the-world barrier.  Writers (the repair coordinator)
+// serialize on a second mutex, build the next overlay off to the side,
+// and publish it with one pointer store.
 //
 // Epochs advance by exactly one per applied delta, and the full delta
 // history is retained so a peer at epoch N can be brought to N+k by
@@ -23,7 +23,6 @@
 // heartbeats.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -63,8 +62,8 @@ void encode_placement_delta(const PlacementDelta& delta,
                                           std::size_t size,
                                           PlacementDelta& out);
 
-/// Placement with an epoch-stamped remap overlay.  Reads are lock-free
-/// and wait-free of writers; apply() serializes writers internally.
+/// Placement with an epoch-stamped remap overlay.  Readers never wait on
+/// a writer's work; apply() serializes writers internally.
 class EpochedPlacement {
  public:
   EpochedPlacement(std::size_t servers, unsigned replication,
@@ -72,10 +71,10 @@ class EpochedPlacement {
                    PlacementMode mode = PlacementMode::kUniform);
 
   /// The chunk's current d servers: the overlay entry when the chunk has
-  /// ever been remapped, the stable base hash otherwise.  Lock-free.
+  /// ever been remapped, the stable base hash otherwise.
   [[nodiscard]] ChoiceList choices(ChunkId chunk) const;
 
-  /// Current epoch; 0 until the first delta commits.  Lock-free.
+  /// Current epoch; 0 until the first delta commits.
   [[nodiscard]] std::uint64_t epoch() const;
 
   /// Commit one delta.  Transactional: either every remap applies and the
@@ -108,8 +107,12 @@ class EpochedPlacement {
     std::vector<PlacementDelta> history;
   };
 
+  /// The overlay readers see now (a reference-counted copy).
+  [[nodiscard]] std::shared_ptr<const Overlay> load_overlay() const;
+
   Placement base_;
-  std::atomic<std::shared_ptr<const Overlay>> overlay_;
+  mutable std::mutex overlay_mu_;  // guards the overlay_ pointer only
+  std::shared_ptr<const Overlay> overlay_;
   std::mutex apply_mu_;  // serializes writers; readers never touch it
 };
 

@@ -284,13 +284,12 @@ struct ServingEngine::Impl {
     std::atomic<std::uint64_t> waiting_depth{0};
     std::atomic<std::uint64_t> inflight_count{0};
 
-    // Wire-to-response latency in log2-microsecond buckets (the layout the
-    // STATS snapshot ships; see net::LatencyStats).
-    net::AtomicLatency latency;
+    // Wire-to-response latency (us), the histogram STATS ships.
+    obs::AtomicLogHistogram latency;
 
     // Queue-wait decomposition (v3 stats): submit_batch() to drain-tick
     // delivery — the MPSC queue + waiting-room share of the latency above.
-    net::AtomicLatency queue_wait;
+    obs::AtomicLogHistogram queue_wait;
 
     // Per-server backlog, refreshed once per tick from the balancer.  The
     // scrape-side safe-set monitor merges these across shards to rebuild
@@ -440,13 +439,13 @@ void ServingEngine::Impl::Shard::record_latency(std::uint64_t submit_ns) {
   if (submit_ns == 0) return;
   const std::uint64_t now = obs::now_ns();
   const std::uint64_t us = now > submit_ns ? (now - submit_ns) / 1000 : 0;
-  latency.observe_us(us);
-  owner->win_latency.observe_us(us, now);
+  latency.record(us);
+  owner->win_latency.record(us, now);
 }
 
 void ServingEngine::Impl::Shard::record_queue_wait(std::uint64_t wait_ns) {
-  queue_wait.observe_us(wait_ns / 1000);
-  owner->win_queue_wait.observe_us(wait_ns / 1000);
+  queue_wait.record(wait_ns / 1000);
+  owner->win_queue_wait.record(wait_ns / 1000);
 }
 
 void ServingEngine::Impl::Shard::apply_failures() {
@@ -983,16 +982,8 @@ net::StatsSnapshot ServingEngine::snapshot() const {
   out.win_submitted = win.counters[Impl::kWinSubmitted];
   out.win_completed = win.counters[Impl::kWinCompleted];
   out.win_rejected = win.counters[Impl::kWinRejected];
-  out.win_latency.count = win.count;
-  out.win_latency.sum_us = win.sum_us;
-  out.win_latency.max_us = win.max_us;
-  out.win_latency.buckets = win.buckets;
-  const obs::WindowedAggregator::Snapshot win_qw =
-      impl_->win_queue_wait.read(win_now);
-  out.win_queue_wait.count = win_qw.count;
-  out.win_queue_wait.sum_us = win_qw.sum_us;
-  out.win_queue_wait.max_us = win_qw.max_us;
-  out.win_queue_wait.buckets = win_qw.buckets;
+  out.win_latency = win.hist;
+  out.win_queue_wait = impl_->win_queue_wait.read(win_now).hist;
 
   out.active_alerts = obs::active_alerts();
   return out;

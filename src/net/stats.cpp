@@ -136,6 +136,36 @@ bool get_shard(Cursor& c, ShardStats& s) {
          c.u64(s.step_ns);
 }
 
+/// A histogram travels as count, sum, max, then the nonzero span of its
+/// buckets: u16 first, u16 n, and n counts (an empty histogram sends n = 0).
+void put_hist(std::vector<std::uint8_t>& out, const obs::LogHistogram& h) {
+  put_u64(out, h.count);
+  put_u64(out, h.sum);
+  put_u64(out, h.max);
+  std::size_t first = 0;
+  std::size_t last = obs::hist::kBuckets;
+  while (last > 0 && h.buckets[last - 1] == 0) --last;
+  while (first < last && h.buckets[first] == 0) ++first;
+  put_u16(out, static_cast<std::uint16_t>(first));
+  put_u16(out, static_cast<std::uint16_t>(last - first));
+  for (std::size_t i = first; i < last; ++i) put_u64(out, h.buckets[i]);
+}
+
+bool get_hist(Cursor& c, obs::LogHistogram& h) {
+  std::uint16_t first = 0;
+  std::uint16_t n = 0;
+  if (!c.u64(h.count) || !c.u64(h.sum) || !c.u64(h.max) || !c.u16(first) ||
+      !c.u16(n)) {
+    return false;
+  }
+  if (std::size_t{first} + n > obs::hist::kBuckets) return false;
+  h.buckets.fill(0);
+  for (std::size_t i = first; i < std::size_t{first} + n; ++i) {
+    if (!c.u64(h.buckets[i])) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 const char* to_string(NodeRole role) noexcept {
@@ -146,34 +176,6 @@ const char* to_string(NodeRole role) noexcept {
       return "router";
   }
   return "unknown";
-}
-
-void LatencyStats::observe_us(std::uint64_t us) {
-  ++count;
-  sum_us += us;
-  if (us > max_us) max_us = us;
-  const std::size_t bucket =
-      us <= 1 ? 0
-              : std::min<std::size_t>(
-                    static_cast<std::size_t>(std::bit_width(us)) - 1,
-                    kLatencyBuckets - 1);
-  ++buckets[bucket];
-}
-
-double LatencyStats::quantile_us(double q) const {
-  if (count == 0 || q <= 0.0) return 0.0;
-  if (q >= 1.0) return static_cast<double>(max_us);
-  const double rank = q * static_cast<double>(count);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    seen += buckets[i];
-    if (static_cast<double>(seen) >= rank) {
-      // Upper edge of bucket i: samples in [2^i, 2^(i+1)).
-      const unsigned shift = static_cast<unsigned>(i + 1 > 62 ? 62 : i + 1);
-      return static_cast<double>(1ULL << shift);
-    }
-  }
-  return static_cast<double>(max_us);
 }
 
 ShardStats StatsSnapshot::totals() const {
@@ -217,18 +219,9 @@ void encode_stats_payload(const StatsSnapshot& snapshot,
   put_u32(out, static_cast<std::uint32_t>(snapshot.shards.size()));
   for (const ShardStats& s : snapshot.shards) put_shard(out, s);
 
-  put_u64(out, snapshot.latency.count);
-  put_u64(out, snapshot.latency.sum_us);
-  put_u64(out, snapshot.latency.max_us);
-  for (const std::uint64_t b : snapshot.latency.buckets) put_u64(out, b);
-
-  // v3: per-hop decomposition histograms, same layout as `latency`.
-  for (const LatencyStats* h : {&snapshot.hop_rtt, &snapshot.queue_wait}) {
-    put_u64(out, h->count);
-    put_u64(out, h->sum_us);
-    put_u64(out, h->max_us);
-    for (const std::uint64_t b : h->buckets) put_u64(out, b);
-  }
+  put_hist(out, snapshot.latency);
+  put_hist(out, snapshot.hop_rtt);
+  put_hist(out, snapshot.queue_wait);
 
   put_u32(out, static_cast<std::uint32_t>(snapshot.safe_set.size()));
   for (const SafeSetLevelStats& level : snapshot.safe_set) {
@@ -257,14 +250,9 @@ void encode_stats_payload(const StatsSnapshot& snapshot,
   put_u64(out, snapshot.win_submitted);
   put_u64(out, snapshot.win_completed);
   put_u64(out, snapshot.win_rejected);
-  for (const LatencyStats* h :
-       {&snapshot.win_latency, &snapshot.win_hop_rtt,
-        &snapshot.win_queue_wait}) {
-    put_u64(out, h->count);
-    put_u64(out, h->sum_us);
-    put_u64(out, h->max_us);
-    for (const std::uint64_t b : h->buckets) put_u64(out, b);
-  }
+  put_hist(out, snapshot.win_latency);
+  put_hist(out, snapshot.win_hop_rtt);
+  put_hist(out, snapshot.win_queue_wait);
   put_u32(out, static_cast<std::uint32_t>(snapshot.active_alerts.size()));
   for (const std::string& alert : snapshot.active_alerts) {
     put_string(out, alert);
@@ -300,14 +288,9 @@ bool decode_stats_payload(const std::uint8_t* data, std::size_t size,
     if (!get_shard(c, s)) return false;
   }
 
-  for (LatencyStats* h :
-       {&out.latency, &out.hop_rtt, &out.queue_wait}) {
-    if (!c.u64(h->count) || !c.u64(h->sum_us) || !c.u64(h->max_us)) {
-      return false;
-    }
-    for (std::uint64_t& b : h->buckets) {
-      if (!c.u64(b)) return false;
-    }
+  if (!get_hist(c, out.latency) || !get_hist(c, out.hop_rtt) ||
+      !get_hist(c, out.queue_wait)) {
+    return false;
   }
 
   std::uint32_t levels = 0;
@@ -339,14 +322,9 @@ bool decode_stats_payload(const std::uint8_t* data, std::size_t size,
       !c.u64(out.win_completed) || !c.u64(out.win_rejected)) {
     return false;
   }
-  for (LatencyStats* h :
-       {&out.win_latency, &out.win_hop_rtt, &out.win_queue_wait}) {
-    if (!c.u64(h->count) || !c.u64(h->sum_us) || !c.u64(h->max_us)) {
-      return false;
-    }
-    for (std::uint64_t& b : h->buckets) {
-      if (!c.u64(b)) return false;
-    }
+  if (!get_hist(c, out.win_latency) || !get_hist(c, out.win_hop_rtt) ||
+      !get_hist(c, out.win_queue_wait)) {
+    return false;
   }
   std::uint32_t alerts = 0;
   if (!c.u32(alerts)) return false;
@@ -398,19 +376,39 @@ void prom_shard_counter(std::string& out, const StatsSnapshot& snapshot,
   }
 }
 
+/// Cumulative counts at the power-of-two edges 2..2^32.  Each edge is a
+/// bucket edge, so the count at le=2^k is exactly the samples below 2^k.
+/// The sums saturate and +Inf is at least the last edge's count, so the
+/// series stays monotonic when a torn read left `count` behind its
+/// buckets (or a decoded payload's counts disagree).
 void prom_histogram(std::string& out, const char* name, const char* help,
-                    const LatencyStats& h) {
+                    const obs::LogHistogram& h) {
   append_fmt(out, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name);
   std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-    cumulative += h.buckets[i];
-    const unsigned shift = static_cast<unsigned>(i + 1 > 62 ? 62 : i + 1);
-    append_fmt(out, "%s_bucket{le=\"%" PRIu64 "\"} %" PRIu64 "\n", name,
-               static_cast<std::uint64_t>(1ULL << shift), cumulative);
+  std::size_t i = 0;
+  for (unsigned k = 1; k <= obs::hist::kTopBits; ++k) {
+    const std::uint64_t edge = std::uint64_t{1} << k;
+    for (; obs::hist::upper_edge(i) <= edge; ++i) {
+      cumulative += std::min(h.buckets[i], ~cumulative);
+    }
+    append_fmt(out, "%s_bucket{le=\"%" PRIu64 "\"} %" PRIu64 "\n", name, edge,
+               cumulative);
   }
-  append_fmt(out, "%s_bucket{le=\"+Inf\"} %" PRIu64 "\n", name, h.count);
-  append_fmt(out, "%s_sum %" PRIu64 "\n", name, h.sum_us);
-  append_fmt(out, "%s_count %" PRIu64 "\n", name, h.count);
+  const std::uint64_t total = std::max(h.count, cumulative);
+  append_fmt(out, "%s_bucket{le=\"+Inf\"} %" PRIu64 "\n", name, total);
+  append_fmt(out, "%s_sum %" PRIu64 "\n", name, h.sum);
+  append_fmt(out, "%s_count %" PRIu64 "\n", name, total);
+}
+
+/// `"<name>_count":..,"<name>_p50_us":..,"<name>_p99_us":..,
+/// "<name>_max_us":..,` for one histogram.
+void json_histogram(std::string& out, const char* name,
+                    const obs::LogHistogram& h) {
+  append_fmt(out,
+             "\"%s_count\":%" PRIu64 ",\"%s_p50_us\":%" PRIu64
+             ",\"%s_p99_us\":%" PRIu64 ",\"%s_max_us\":%" PRIu64 ",",
+             name, h.count, name, h.quantile(0.5), name, h.quantile(0.99),
+             name, h.max);
 }
 
 }  // namespace
@@ -605,24 +603,9 @@ std::string render_json(const StatsSnapshot& snapshot) {
              ",\"servers_down\":%" PRIu64 ",",
              t.inbound_depth, t.waiting_depth, t.inflight, t.backlog,
              t.servers_down);
-  append_fmt(out,
-             "\"latency_p50_us\":%g,\"latency_p99_us\":%g,"
-             "\"latency_max_us\":%" PRIu64 ",",
-             snapshot.latency.quantile_us(0.5),
-             snapshot.latency.quantile_us(0.99), snapshot.latency.max_us);
-  append_fmt(out,
-             "\"hop_rtt_count\":%" PRIu64
-             ",\"hop_rtt_p50_us\":%g,\"hop_rtt_p99_us\":%g,"
-             "\"hop_rtt_max_us\":%" PRIu64 ",",
-             snapshot.hop_rtt.count, snapshot.hop_rtt.quantile_us(0.5),
-             snapshot.hop_rtt.quantile_us(0.99), snapshot.hop_rtt.max_us);
-  append_fmt(out,
-             "\"queue_wait_count\":%" PRIu64
-             ",\"queue_wait_p50_us\":%g,\"queue_wait_p99_us\":%g,"
-             "\"queue_wait_max_us\":%" PRIu64 ",",
-             snapshot.queue_wait.count, snapshot.queue_wait.quantile_us(0.5),
-             snapshot.queue_wait.quantile_us(0.99),
-             snapshot.queue_wait.max_us);
+  json_histogram(out, "latency", snapshot.latency);
+  json_histogram(out, "hop_rtt", snapshot.hop_rtt);
+  json_histogram(out, "queue_wait", snapshot.queue_wait);
   out += "\"safe_set\":[";
   for (std::size_t i = 0; i < snapshot.safe_set.size(); ++i) {
     const SafeSetLevelStats& level = snapshot.safe_set[i];
@@ -655,14 +638,15 @@ std::string render_json(const StatsSnapshot& snapshot) {
   append_fmt(out,
              ",\"window\":{\"span_ms\":%" PRIu64 ",\"submitted\":%" PRIu64
              ",\"completed\":%" PRIu64 ",\"rejected\":%" PRIu64
-             ",\"latency_p50_us\":%g,\"latency_p99_us\":%g"
-             ",\"hop_rtt_p99_us\":%g,\"queue_wait_p99_us\":%g}",
+             ",\"latency_p50_us\":%" PRIu64 ",\"latency_p99_us\":%" PRIu64
+             ",\"hop_rtt_p99_us\":%" PRIu64 ",\"queue_wait_p99_us\":%" PRIu64
+             "}",
              snapshot.window_span_ms, snapshot.win_submitted,
              snapshot.win_completed, snapshot.win_rejected,
-             snapshot.win_latency.quantile_us(0.5),
-             snapshot.win_latency.quantile_us(0.99),
-             snapshot.win_hop_rtt.quantile_us(0.99),
-             snapshot.win_queue_wait.quantile_us(0.99));
+             snapshot.win_latency.quantile(0.5),
+             snapshot.win_latency.quantile(0.99),
+             snapshot.win_hop_rtt.quantile(0.99),
+             snapshot.win_queue_wait.quantile(0.99));
   out += ",\"alerts\":[";
   for (std::size_t i = 0; i < snapshot.active_alerts.size(); ++i) {
     append_fmt(out, "%s\"%s\"", i == 0 ? "" : ",",

@@ -11,13 +11,12 @@
 // cross-version skew to paper over).
 #pragma once
 
-#include <array>
-#include <atomic>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "obs/histogram.hpp"
 
 namespace rlb::net {
 
@@ -26,72 +25,15 @@ namespace rlb::net {
 /// v4: placement epoch + repair/migration counters (self-healing tier).
 /// v5: windowed (trailing ~10 s) histograms + counter deltas and active
 ///     watchdog alerts (health plane).
-inline constexpr std::uint32_t kStatsVersion = 5;
+/// v6: every histogram is an obs::LogHistogram (log-linear, 1/16 relative
+///     error), sent as count, sum, max, then u16 first + u16 n and the n
+///     bucket counts of its nonzero span.
+inline constexpr std::uint32_t kStatsVersion = 6;
 
 /// Which tier produced a snapshot.
 enum class NodeRole : std::uint8_t { kBackend = 0, kRouter = 1 };
 
 const char* to_string(NodeRole role) noexcept;
-
-/// Number of log2-microsecond latency buckets.  Bucket i counts samples
-/// with floor(log2(us)) == i (bucket 0 also takes us <= 1); the last
-/// bucket is a catch-all.
-inline constexpr std::size_t kLatencyBuckets = 32;
-
-/// A log2-bucketed microsecond histogram (wire-to-response latency, hop
-/// RTT, queue wait), merged across shards.
-struct LatencyStats {
-  std::uint64_t count = 0;
-  std::uint64_t sum_us = 0;
-  std::uint64_t max_us = 0;
-  std::array<std::uint64_t, kLatencyBuckets> buckets{};
-
-  /// Record one sample (single-writer callers: the engine keeps per-shard
-  /// atomics instead and merges into this struct at snapshot time).
-  void observe_us(std::uint64_t us);
-
-  /// Approximate quantile (0 < q < 1) from the log2 buckets: the upper
-  /// edge of the bucket containing the q-th sample.  0 when empty.
-  [[nodiscard]] double quantile_us(double q) const;
-};
-
-/// Concurrent counterpart of LatencyStats: hot paths record with relaxed
-/// atomics (no lock, no cache-line ping-pong beyond the counters
-/// themselves) and the scrape path folds the fields into a plain
-/// LatencyStats via merge_into().  Relaxed ordering means a snapshot may
-/// tear across fields (count updated, sum not yet) — fine for advisory
-/// telemetry, never used for control decisions.
-struct AtomicLatency {
-  std::atomic<std::uint64_t> count{0};
-  std::atomic<std::uint64_t> sum_us{0};
-  std::atomic<std::uint64_t> max_us{0};
-  std::array<std::atomic<std::uint64_t>, kLatencyBuckets> buckets{};
-
-  void observe_us(std::uint64_t us) {
-    count.fetch_add(1, std::memory_order_relaxed);
-    sum_us.fetch_add(us, std::memory_order_relaxed);
-    std::uint64_t prev = max_us.load(std::memory_order_relaxed);
-    while (us > prev &&
-           !max_us.compare_exchange_weak(prev, us, std::memory_order_relaxed)) {
-    }
-    std::size_t bucket =
-        us <= 1 ? 0 : static_cast<std::size_t>(std::bit_width(us) - 1);
-    if (bucket >= kLatencyBuckets) bucket = kLatencyBuckets - 1;
-    buckets[bucket].fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Accumulate this histogram into `out` (relaxed loads; max_us merges
-  /// as a max so several AtomicLatency sources can fold into one row).
-  void merge_into(LatencyStats& out) const {
-    out.count += count.load(std::memory_order_relaxed);
-    out.sum_us += sum_us.load(std::memory_order_relaxed);
-    const std::uint64_t m = max_us.load(std::memory_order_relaxed);
-    if (m > out.max_us) out.max_us = m;
-    for (std::size_t i = 0; i < kLatencyBuckets; ++i) {
-      out.buckets[i] += buckets[i].load(std::memory_order_relaxed);
-    }
-  }
-};
 
 /// One worker shard's counters.  Counters are cumulative since engine
 /// start; *_depth / inflight / backlog / servers_down are gauges sampled
@@ -167,15 +109,16 @@ struct StatsSnapshot {
   std::uint32_t shard_count = 0;
 
   std::vector<ShardStats> shards;
-  LatencyStats latency;
+  /// Wire-to-response latency (microseconds), merged across shards.
+  obs::LogHistogram latency;
 
   // Per-hop latency decomposition (v3).  On a backend, `queue_wait` is the
   // submit-to-drain-tick wait inside the MPSC queue + waiting room; on a
   // router, `hop_rtt` is the forward-to-response round trip per upstream
   // hop (retries sample once per attempt).  The counterpart histogram is
   // empty for each role.
-  LatencyStats hop_rtt;
-  LatencyStats queue_wait;
+  obs::LogHistogram hop_rtt;
+  obs::LogHistogram queue_wait;
 
   // Safe-set invariant monitor (Def 3.2 over the merged backlog vector).
   std::vector<SafeSetLevelStats> safe_set;
@@ -198,9 +141,9 @@ struct StatsSnapshot {
   std::uint64_t win_submitted = 0;
   std::uint64_t win_completed = 0;
   std::uint64_t win_rejected = 0;
-  LatencyStats win_latency;
-  LatencyStats win_hop_rtt;
-  LatencyStats win_queue_wait;
+  obs::LogHistogram win_latency;
+  obs::LogHistogram win_hop_rtt;
+  obs::LogHistogram win_queue_wait;
 
   // Active watchdog alerts (obs::HealthWatchdog rule names), rendered as
   // rlb_alert_active{rule=...} gauges in the Prometheus exposition.
@@ -229,8 +172,8 @@ bool peek_stats_version(const std::uint8_t* data, std::size_t size,
                         std::uint32_t& version);
 
 /// Prometheus text exposition (one `# TYPE` line per family, `{shard=...}`
-/// and `{level=...}` labels, log2 latency buckets as a cumulative
-/// histogram).
+/// and `{level=...}` labels, each histogram as cumulative counts at the
+/// power-of-two `le` edges 2..2^32 plus +Inf).
 std::string render_prometheus(const StatsSnapshot& snapshot);
 
 /// One-line JSON object (for --safe-set-log streams and bench output).

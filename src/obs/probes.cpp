@@ -1,23 +1,18 @@
 #include "obs/probes.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 
 namespace rlb::obs {
 
 namespace {
 
-/// Log2 bucket of a (clamped, floored) value: 0 for v < 1, else
-/// bit_width(floor(v)).  64 buckets cover the full uint64 range.
-constexpr std::size_t kBucketCount = 65;
-
-std::size_t bucket_of(double value) noexcept {
-  if (!(value >= 1.0)) return 0;  // NaN and v < 1 land in bucket 0
-  const double floored = std::floor(value);
-  if (floored >= 18446744073709551615.0) return kBucketCount - 1;
-  return static_cast<std::size_t>(
-      std::bit_width(static_cast<std::uint64_t>(floored)));
+/// The histogram sample for a probe value: floored, with negative and NaN
+/// values at 0 and anything past the uint64 range saturated.
+std::uint64_t histogram_sample(double value) noexcept {
+  if (!(value >= 1.0)) return 0;
+  return value < 18446744073709551615.0
+             ? static_cast<std::uint64_t>(value)
+             : std::numeric_limits<std::uint64_t>::max();
 }
 
 }  // namespace
@@ -46,30 +41,14 @@ double ProbeSnapshot::value() const noexcept {
   return 0.0;
 }
 
-double ProbeSnapshot::quantile(double q) const noexcept {
-  if (buckets.empty() || count == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const auto rank = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(count)));
-  std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < buckets.size(); ++b) {
-    seen += buckets[b];
-    if (seen >= rank && buckets[b] > 0) {
-      // Upper bound of bucket b: 0 -> values < 1; b -> values < 2^b.
-      return b == 0 ? 0.0 : std::ldexp(1.0, static_cast<int>(b)) - 1.0;
-    }
-  }
-  return max;
-}
-
 void ProbeRegistry::Cell::add(double value, bool histogram) {
   ++count;
   sum += value;
   min = std::min(min, value);
   max = std::max(max, value);
   if (histogram) {
-    if (buckets.empty()) buckets.assign(kBucketCount, 0);
-    ++buckets[bucket_of(value)];
+    if (!hist) hist = std::make_unique<LogHistogram>();
+    hist->record(histogram_sample(value));
   }
 }
 
@@ -79,11 +58,9 @@ void ProbeRegistry::Cell::merge_into(Cell& target) const {
   target.sum += sum;
   target.min = std::min(target.min, min);
   target.max = std::max(target.max, max);
-  if (!buckets.empty()) {
-    if (target.buckets.empty()) target.buckets.assign(kBucketCount, 0);
-    for (std::size_t b = 0; b < buckets.size(); ++b) {
-      target.buckets[b] += buckets[b];
-    }
+  if (hist) {
+    if (!target.hist) target.hist = std::make_unique<LogHistogram>();
+    target.hist->merge(*hist);
   }
 }
 
@@ -163,7 +140,7 @@ std::vector<ProbeSnapshot> ProbeRegistry::snapshot() const {
     snap.sum = merged[id].sum;
     snap.min = merged[id].min;
     snap.max = merged[id].max;
-    snap.buckets = std::move(merged[id].buckets);
+    if (merged[id].hist) snap.hist = *merged[id].hist;
     out.push_back(std::move(snap));
   }
   return out;
@@ -177,11 +154,6 @@ bool ProbeRegistry::find(const std::string& name, ProbeSnapshot& out) const {
     }
   }
   return false;
-}
-
-std::size_t ProbeRegistry::probe_count() const {
-  std::lock_guard lock(mutex_);
-  return probes_.size();
 }
 
 void ProbeRegistry::reset() {

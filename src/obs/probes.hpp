@@ -15,11 +15,13 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "obs/histogram.hpp"
 #include "obs/trace.hpp"
 #include "report/table.hpp"
 
@@ -39,17 +41,17 @@ struct ProbeSnapshot {
   double sum = 0.0;
   double min = std::numeric_limits<double>::infinity();
   double max = -std::numeric_limits<double>::infinity();
-  /// Histograms only: log2 buckets — buckets[b] counts values v with
-  /// bit_width(floor(max(v,0))) == b, i.e. bucket 0 holds v < 1, bucket b
-  /// holds v in [2^(b-1), 2^b).
-  std::vector<std::uint64_t> buckets;
+  /// Histograms only: the floored values (negative and NaN read as 0).
+  LogHistogram hist;
 
   /// Headline value: counter -> sum, gauge -> max, histogram -> mean.
   double value() const noexcept;
   double mean() const noexcept { return count ? sum / static_cast<double>(count) : 0.0; }
-  /// Histogram quantile estimate (upper bound of the q-quantile's bucket);
+  /// Histogram quantile (LogHistogram::quantile of the floored values);
   /// 0 when empty or not a histogram.
-  double quantile(double q) const noexcept;
+  double quantile(double q) const noexcept {
+    return static_cast<double>(hist.quantile(q));
+  }
 };
 
 /// Process-wide registry.  Probe ids are stable for the process lifetime;
@@ -81,8 +83,6 @@ class ProbeRegistry {
   /// (columns: probe, kind, count, value, mean, min, max, p50, p99).
   report::Table to_table() const;
 
-  std::size_t probe_count() const;
-
   /// Zero every probe (tests).  Callers must ensure no thread is recording
   /// concurrently.
   void reset();
@@ -93,7 +93,7 @@ class ProbeRegistry {
     double sum = 0.0;
     double min = std::numeric_limits<double>::infinity();
     double max = -std::numeric_limits<double>::infinity();
-    std::vector<std::uint64_t> buckets;  // histograms only, lazily sized
+    std::unique_ptr<LogHistogram> hist;  // histograms only, lazily made
 
     void add(double value, bool histogram);
     void merge_into(Cell& target) const;
@@ -163,7 +163,7 @@ class Gauge {
   std::size_t id_;
 };
 
-/// Log2-bucketed distribution probe.
+/// Distribution probe (an obs::LogHistogram per thread shard).
 class Histogram {
  public:
   explicit Histogram(const char* name)

@@ -14,23 +14,22 @@
 // mid-reset — both are acceptable for advisory telemetry and keep the
 // hot path to a handful of relaxed atomic adds.
 //
-// The 32 log2-microsecond buckets deliberately match net::LatencyStats so
-// a window snapshot copies straight into a STATS v5 windowed histogram.
+// Each slot records into an obs::AtomicLogHistogram, so a fold is a plain
+// LogHistogram that drops straight into a STATS windowed histogram.
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <memory>
 
+#include "obs/histogram.hpp"
 #include "obs/trace.hpp"
 
 namespace rlb::obs {
 
 class WindowedAggregator {
  public:
-  static constexpr std::size_t kBuckets = 32;
   /// Named counter slots; meaning is the owner's (the engine uses
   /// submitted/completed/rejected, the router forwarded/ok/rejected).
   static constexpr std::size_t kCounters = 4;
@@ -41,20 +40,10 @@ class WindowedAggregator {
         nslots_(windows == 0 ? 1 : windows),
         window_ns_(window_ns == 0 ? 1 : window_ns) {}
 
-  void observe_us(std::uint64_t us) { observe_us(us, now_ns()); }
+  void record(std::uint64_t us) { record(us, now_ns()); }
 
-  void observe_us(std::uint64_t us, std::uint64_t now) {
-    Slot& slot = slot_for(now);
-    slot.count.fetch_add(1, std::memory_order_relaxed);
-    slot.sum_us.fetch_add(us, std::memory_order_relaxed);
-    std::uint64_t prev = slot.max_us.load(std::memory_order_relaxed);
-    while (us > prev && !slot.max_us.compare_exchange_weak(
-                            prev, us, std::memory_order_relaxed)) {
-    }
-    std::size_t bucket =
-        us <= 1 ? 0 : static_cast<std::size_t>(std::bit_width(us) - 1);
-    if (bucket >= kBuckets) bucket = kBuckets - 1;
-    slot.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
+  void record(std::uint64_t us, std::uint64_t now) {
+    slot_for(now).hist.record(us);
   }
 
   void add(std::size_t counter, std::uint64_t delta = 1) {
@@ -71,10 +60,7 @@ class WindowedAggregator {
   struct Snapshot {
     std::uint64_t windows = 0;  ///< distinct slots folded (incl. partial)
     std::uint64_t span_ms = 0;  ///< wall time the fold covers
-    std::uint64_t count = 0;
-    std::uint64_t sum_us = 0;
-    std::uint64_t max_us = 0;
-    std::array<std::uint64_t, kBuckets> buckets{};
+    LogHistogram hist;
     std::array<std::uint64_t, kCounters> counters{};
   };
 
@@ -95,13 +81,7 @@ class WindowedAggregator {
       }
       ++out.windows;
       if (window == current) current_included = true;
-      out.count += slot.count.load(std::memory_order_relaxed);
-      out.sum_us += slot.sum_us.load(std::memory_order_relaxed);
-      const std::uint64_t m = slot.max_us.load(std::memory_order_relaxed);
-      if (m > out.max_us) out.max_us = m;
-      for (std::size_t b = 0; b < kBuckets; ++b) {
-        out.buckets[b] += slot.buckets[b].load(std::memory_order_relaxed);
-      }
+      slot.hist.merge_into(out.hist);
       for (std::size_t c = 0; c < kCounters; ++c) {
         out.counters[c] += slot.counters[c].load(std::memory_order_relaxed);
       }
@@ -117,17 +97,11 @@ class WindowedAggregator {
     return out;
   }
 
-  [[nodiscard]] std::uint64_t window_ns() const { return window_ns_; }
-  [[nodiscard]] std::size_t windows() const { return nslots_; }
-
  private:
   struct Slot {
     /// Window index + 1 of the data this slot holds; 0 = never written.
     std::atomic<std::uint64_t> epoch{0};
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> sum_us{0};
-    std::atomic<std::uint64_t> max_us{0};
-    std::array<std::atomic<std::uint64_t>, kBuckets> buckets{};
+    AtomicLogHistogram hist;
     std::array<std::atomic<std::uint64_t>, kCounters> counters{};
   };
 
@@ -140,10 +114,7 @@ class WindowedAggregator {
         slot.epoch.compare_exchange_strong(have, want,
                                            std::memory_order_acq_rel)) {
       // This writer claimed the recycled slot; zero last window's data.
-      slot.count.store(0, std::memory_order_relaxed);
-      slot.sum_us.store(0, std::memory_order_relaxed);
-      slot.max_us.store(0, std::memory_order_relaxed);
-      for (auto& b : slot.buckets) b.store(0, std::memory_order_relaxed);
+      slot.hist.reset();
       for (auto& c : slot.counters) c.store(0, std::memory_order_relaxed);
     }
     return slot;

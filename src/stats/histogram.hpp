@@ -1,4 +1,5 @@
-// Integer-valued histograms used for backlog and latency distributions.
+// Exact histograms for the simulator (serving-stack latencies and probes
+// record into obs::LogHistogram).
 //
 // Backlogs and latencies in the model are small non-negative integers
 // (bounded by the queue length q = O(log m)), so a dense counting histogram

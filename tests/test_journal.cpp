@@ -349,14 +349,14 @@ TEST(HealthWatchdog, RepairStallNeedsPendingWithoutProgress) {
 
 TEST(WindowedAggregator, FoldsTheTrailingWindowOnly) {
   WindowedAggregator win(/*windows=*/4, /*window_ns=*/1000);
-  win.observe_us(100, 500);    // window 0
-  win.observe_us(200, 1500);   // window 1
-  win.add(0, 7, 1500);         // counter in window 1
+  win.record(100, 500);   // window 0
+  win.record(200, 1500);  // window 1
+  win.add(0, 7, 1500);    // counter in window 1
 
   WindowedAggregator::Snapshot snap = win.read(1750);
-  EXPECT_EQ(snap.count, 2u);
-  EXPECT_EQ(snap.sum_us, 300u);
-  EXPECT_EQ(snap.max_us, 200u);
+  EXPECT_EQ(snap.hist.count, 2u);
+  EXPECT_EQ(snap.hist.sum, 300u);
+  EXPECT_EQ(snap.hist.max, 200u);
   EXPECT_EQ(snap.counters[0], 7u);
   EXPECT_EQ(snap.windows, 2u);
   // Window 0 full (1000ns) + window 1 partial (750ns) = 1750ns span; the
@@ -365,7 +365,7 @@ TEST(WindowedAggregator, FoldsTheTrailingWindowOnly) {
 
   // 4 windows later the old slots are dead history.
   snap = win.read(6500);
-  EXPECT_EQ(snap.count, 0u);
+  EXPECT_EQ(snap.hist.count, 0u);
   EXPECT_EQ(snap.windows, 0u);
   EXPECT_EQ(snap.span_ms, 0u);
 }
@@ -373,10 +373,10 @@ TEST(WindowedAggregator, FoldsTheTrailingWindowOnly) {
 TEST(WindowedAggregator, SpanSubtractsTheUnfilledPartialWindow) {
   WindowedAggregator win(/*windows=*/10, /*window_ns=*/1'000'000'000);
   const std::uint64_t t0 = 5'000'000'000;  // window 5 begins
-  win.observe_us(10, t0);
-  win.observe_us(20, t0 + 1'500'000'000);  // window 6, half filled
+  win.record(10, t0);
+  win.record(20, t0 + 1'500'000'000);  // window 6, half filled
   const WindowedAggregator::Snapshot snap = win.read(t0 + 1'500'000'000);
-  EXPECT_EQ(snap.count, 2u);
+  EXPECT_EQ(snap.hist.count, 2u);
   EXPECT_EQ(snap.windows, 2u);
   // Window 5 fully counted + window 6 at 500ms elapsed.
   EXPECT_EQ(snap.span_ms, 1500u);
@@ -384,21 +384,28 @@ TEST(WindowedAggregator, SpanSubtractsTheUnfilledPartialWindow) {
 
 TEST(WindowedAggregator, SlotRecyclingZeroesOldData) {
   WindowedAggregator win(/*windows=*/2, /*window_ns=*/1000);
-  win.observe_us(100, 500);   // window 0 -> slot 0
-  win.observe_us(200, 2500);  // window 2 -> recycles slot 0
+  win.record(100, 500);   // window 0 -> slot 0
+  win.record(200, 2500);  // window 2 -> recycles slot 0
   const WindowedAggregator::Snapshot snap = win.read(2500);
   // Only the window-2 sample survives; the recycled slot was zeroed.
-  EXPECT_EQ(snap.count, 1u);
-  EXPECT_EQ(snap.sum_us, 200u);
+  EXPECT_EQ(snap.hist.count, 1u);
+  EXPECT_EQ(snap.hist.sum, 200u);
 }
 
-TEST(WindowedAggregator, BucketsMatchLatencyStatsLayout) {
-  WindowedAggregator win(4, 1000);
-  win.observe_us(1, 100);   // bucket 0
-  win.observe_us(12, 100);  // 2^3 < 12 <= 2^4 -> bucket 3
-  const WindowedAggregator::Snapshot snap = win.read(100);
-  EXPECT_EQ(snap.buckets[0], 1u);
-  EXPECT_EQ(snap.buckets[3], 1u);
+TEST(WindowedAggregator, FoldEqualsAPlainHistogramOfTheSameSamples) {
+  // Samples spread over three windows of a four-window ring: the fold is
+  // the same LogHistogram as recording every sample into one, bucket for
+  // bucket (so a window snapshot needs no layout conversion).
+  WindowedAggregator win(/*windows=*/4, /*window_ns=*/1000);
+  LogHistogram plain;
+  for (std::uint64_t i = 0; i < 3000; ++i) {
+    const std::uint64_t us = (i * 7919) % 250'000;
+    win.record(us, 1000 + i);
+    plain.record(us);
+  }
+  const WindowedAggregator::Snapshot snap = win.read(3999);
+  EXPECT_EQ(snap.windows, 3u);
+  EXPECT_EQ(snap.hist, plain);
 }
 
 // ---------------------------------------------------------------------------

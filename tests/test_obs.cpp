@@ -228,11 +228,12 @@ TEST_F(ObsTest, CounterGaugeHistogramSemantics) {
   EXPECT_DOUBLE_EQ(snap.mean(), 106.0 / 5.0);
   EXPECT_DOUBLE_EQ(snap.min, 0.0);
   EXPECT_DOUBLE_EQ(snap.max, 100.0);
-  // Log2 buckets: the p50 estimate is the upper bound of the median's
-  // bucket; with values {0,1,2,3,100} the median 2 lives in [2,4).
-  EXPECT_GE(snap.quantile(0.5), 2.0);
-  EXPECT_LE(snap.quantile(0.5), 4.0);
-  EXPECT_GE(snap.quantile(0.99), 100.0);
+  // Values below 32 have a bucket each, and a quantile never reads above
+  // the largest sample: the median of {0,1,2,3,100} reads exactly 2 and
+  // the p99 exactly 100.
+  EXPECT_DOUBLE_EQ(snap.quantile(0.5), 2.0);
+  EXPECT_DOUBLE_EQ(snap.quantile(0.99), 100.0);
+  EXPECT_EQ(snap.hist.count, 5u);
 }
 
 TEST_F(ObsTest, RecordingIsGatedOnEnabled) {

@@ -1,10 +1,14 @@
 // Unit tests for the STATS wire channel (net/stats.hpp + the kStats /
 // kStatsResponse opcodes in net/wire.hpp): snapshot codec round-trip,
-// malformed-payload and version-mismatch rejection, frame classification,
-// and the Prometheus / JSON renderings.
+// malformed-payload and version-mismatch rejection, the histograms'
+// sparse bucket spans and a seeded mutation loop over the decoder, frame
+// classification, and the Prometheus / JSON renderings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -50,20 +54,20 @@ StatsSnapshot make_full_snapshot() {
     snapshot.shards.push_back(shard);
   }
   snapshot.latency.count = 1000;
-  snapshot.latency.sum_us = 500000;
-  snapshot.latency.max_us = 9000;
-  for (std::size_t i = 0; i < kLatencyBuckets; ++i) {
+  snapshot.latency.sum = 500000;
+  snapshot.latency.max = 9000;
+  for (std::size_t i = 0; i < obs::hist::kBuckets; ++i) {
     snapshot.latency.buckets[i] = i * 10;
   }
   // v3 per-hop histograms: distinct values per field so a swapped decode
   // (hop_rtt read into queue_wait or vice versa) fails the round trip.
   snapshot.hop_rtt.count = 77;
-  snapshot.hop_rtt.sum_us = 35000;
-  snapshot.hop_rtt.max_us = 4200;
+  snapshot.hop_rtt.sum = 35000;
+  snapshot.hop_rtt.max = 4200;
   snapshot.hop_rtt.buckets[5] = 77;
   snapshot.queue_wait.count = 333;
-  snapshot.queue_wait.sum_us = 9999;
-  snapshot.queue_wait.max_us = 512;
+  snapshot.queue_wait.sum = 9999;
+  snapshot.queue_wait.max = 512;
   snapshot.queue_wait.buckets[3] = 333;
   snapshot.safe_set.push_back({1, 30, 32.0, 0.9375});
   snapshot.safe_set.push_back({2, 20, 16.0, 1.25});
@@ -88,19 +92,126 @@ StatsSnapshot make_full_snapshot() {
   snapshot.win_completed = 4100;
   snapshot.win_rejected = 100;
   snapshot.win_latency.count = 41;
-  snapshot.win_latency.sum_us = 8200;
-  snapshot.win_latency.max_us = 900;
+  snapshot.win_latency.sum = 8200;
+  snapshot.win_latency.max = 900;
   snapshot.win_latency.buckets[4] = 41;
   snapshot.win_hop_rtt.count = 7;
-  snapshot.win_hop_rtt.sum_us = 1400;
-  snapshot.win_hop_rtt.max_us = 300;
+  snapshot.win_hop_rtt.sum = 1400;
+  snapshot.win_hop_rtt.max = 300;
   snapshot.win_hop_rtt.buckets[6] = 7;
   snapshot.win_queue_wait.count = 19;
-  snapshot.win_queue_wait.sum_us = 380;
-  snapshot.win_queue_wait.max_us = 40;
+  snapshot.win_queue_wait.sum = 380;
+  snapshot.win_queue_wait.max = 40;
   snapshot.win_queue_wait.buckets[2] = 19;
   snapshot.active_alerts = {"safe_set", "p99_jump"};
   return snapshot;
+}
+
+/// A backend's snapshot as the engine fills it: histograms recorded from
+/// samples (sparse spans), hop_rtt empty, a few shard rows.
+StatsSnapshot make_backend_snapshot() {
+  StatsSnapshot snapshot;
+  snapshot.uptime_ms = 4200;
+  snapshot.role = NodeRole::kBackend;
+  snapshot.backend_id = 2;
+  snapshot.policy = "delayed-cuckoo";
+  snapshot.servers = 32;
+  snapshot.replication = 2;
+  snapshot.shard_count = 1;
+  ShardStats shard;
+  shard.submitted = 5000;
+  shard.completed = 4990;
+  snapshot.shards.push_back(shard);
+  for (std::uint64_t i = 0; i < 5000; ++i) {
+    snapshot.latency.record(60 + (i * 37) % 900);
+    snapshot.queue_wait.record((i * 13) % 40);
+    if (i % 5 == 0) snapshot.win_latency.record(70 + (i * 11) % 600);
+    if (i % 7 == 0) snapshot.win_queue_wait.record(i % 25);
+  }
+  snapshot.safe_set.push_back({1, 3, 16.0, 0.1875});
+  snapshot.window_span_ms = 9000;
+  snapshot.win_submitted = 1000;
+  snapshot.win_completed = 998;
+  return snapshot;
+}
+
+/// Byte offset of each of the six histograms (the `count` word that
+/// opens it) in `snapshot`'s encoding, found by re-encoding with one
+/// histogram's count changed and locating the first differing byte.
+std::vector<std::size_t> histogram_offsets(const StatsSnapshot& snapshot) {
+  std::vector<std::uint8_t> base;
+  encode_stats_payload(snapshot, base);
+  std::vector<std::size_t> offsets;
+  for (obs::LogHistogram StatsSnapshot::* h :
+       {&StatsSnapshot::latency, &StatsSnapshot::hop_rtt,
+        &StatsSnapshot::queue_wait, &StatsSnapshot::win_latency,
+        &StatsSnapshot::win_hop_rtt, &StatsSnapshot::win_queue_wait}) {
+    StatsSnapshot marked = snapshot;
+    (marked.*h).count ^= 0xA5;
+    std::vector<std::uint8_t> bytes;
+    encode_stats_payload(marked, bytes);
+    std::size_t at = 0;
+    while (bytes[at] == base[at]) ++at;
+    offsets.push_back(at);
+  }
+  return offsets;
+}
+
+void put_u16_at(std::vector<std::uint8_t>& bytes, std::size_t at,
+                std::uint16_t v) {
+  bytes[at] = static_cast<std::uint8_t>(v);
+  bytes[at + 1] = static_cast<std::uint8_t>(v >> 8);
+}
+
+std::uint16_t get_u16_at(const std::vector<std::uint8_t>& bytes,
+                         std::size_t at) {
+  return static_cast<std::uint16_t>(bytes[at] | (bytes[at + 1] << 8));
+}
+
+void put_u64_at(std::vector<std::uint8_t>& bytes, std::size_t at,
+                std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+/// What a decoded snapshot, however hostile its bytes, must still give:
+/// quantiles that never exceed max, and a Prometheus rendering whose
+/// histogram series are 33 monotone cumulative counts ending at +Inf.
+void expect_in_bounds(const StatsSnapshot& snapshot) {
+  for (const obs::LogHistogram* h :
+       {&snapshot.latency, &snapshot.hop_rtt, &snapshot.queue_wait,
+        &snapshot.win_latency, &snapshot.win_hop_rtt,
+        &snapshot.win_queue_wait}) {
+    for (const double q : {0.0, 0.5, 0.99, 1.0}) {
+      ASSERT_LE(h->quantile(q), h->max) << "q=" << q;
+    }
+  }
+  std::istringstream text(render_prometheus(snapshot));
+  std::string line;
+  std::string family;
+  std::uint64_t previous = 0;
+  std::size_t rows = 0;
+  std::size_t series = 0;
+  while (std::getline(text, line)) {
+    const std::size_t bucket = line.find("_bucket{le=\"");
+    if (bucket == std::string::npos) continue;
+    const std::uint64_t value = std::stoull(line.substr(line.rfind(' ') + 1));
+    if (line.substr(0, bucket) != family) {
+      family = line.substr(0, bucket);
+      previous = 0;
+      rows = 0;
+      ++series;
+    }
+    ASSERT_GE(value, previous) << line;
+    previous = value;
+    ++rows;
+    if (line.find("le=\"+Inf\"") != std::string::npos) {
+      ASSERT_EQ(rows, obs::hist::kTopBits + 1) << family;
+    }
+  }
+  ASSERT_EQ(series, 6u);
+  ASSERT_FALSE(render_json(snapshot).empty());
 }
 
 TEST(StatsCodec, RoundTripPreservesEveryField) {
@@ -145,18 +256,9 @@ TEST(StatsCodec, RoundTripPreservesEveryField) {
     EXPECT_EQ(b.servers_down, a.servers_down);
     EXPECT_EQ(b.step_ns, a.step_ns);
   }
-  EXPECT_EQ(decoded.latency.count, original.latency.count);
-  EXPECT_EQ(decoded.latency.sum_us, original.latency.sum_us);
-  EXPECT_EQ(decoded.latency.max_us, original.latency.max_us);
-  EXPECT_EQ(decoded.latency.buckets, original.latency.buckets);
-  EXPECT_EQ(decoded.hop_rtt.count, original.hop_rtt.count);
-  EXPECT_EQ(decoded.hop_rtt.sum_us, original.hop_rtt.sum_us);
-  EXPECT_EQ(decoded.hop_rtt.max_us, original.hop_rtt.max_us);
-  EXPECT_EQ(decoded.hop_rtt.buckets, original.hop_rtt.buckets);
-  EXPECT_EQ(decoded.queue_wait.count, original.queue_wait.count);
-  EXPECT_EQ(decoded.queue_wait.sum_us, original.queue_wait.sum_us);
-  EXPECT_EQ(decoded.queue_wait.max_us, original.queue_wait.max_us);
-  EXPECT_EQ(decoded.queue_wait.buckets, original.queue_wait.buckets);
+  EXPECT_EQ(decoded.latency, original.latency);
+  EXPECT_EQ(decoded.hop_rtt, original.hop_rtt);
+  EXPECT_EQ(decoded.queue_wait, original.queue_wait);
   ASSERT_EQ(decoded.safe_set.size(), original.safe_set.size());
   for (std::size_t i = 0; i < original.safe_set.size(); ++i) {
     EXPECT_EQ(decoded.safe_set[i].level, original.safe_set[i].level);
@@ -184,12 +286,9 @@ TEST(StatsCodec, RoundTripPreservesEveryField) {
   EXPECT_EQ(decoded.win_submitted, original.win_submitted);
   EXPECT_EQ(decoded.win_completed, original.win_completed);
   EXPECT_EQ(decoded.win_rejected, original.win_rejected);
-  EXPECT_EQ(decoded.win_latency.count, original.win_latency.count);
-  EXPECT_EQ(decoded.win_latency.buckets, original.win_latency.buckets);
-  EXPECT_EQ(decoded.win_hop_rtt.count, original.win_hop_rtt.count);
-  EXPECT_EQ(decoded.win_hop_rtt.buckets, original.win_hop_rtt.buckets);
-  EXPECT_EQ(decoded.win_queue_wait.count, original.win_queue_wait.count);
-  EXPECT_EQ(decoded.win_queue_wait.buckets, original.win_queue_wait.buckets);
+  EXPECT_EQ(decoded.win_latency, original.win_latency);
+  EXPECT_EQ(decoded.win_hop_rtt, original.win_hop_rtt);
+  EXPECT_EQ(decoded.win_queue_wait, original.win_queue_wait);
   EXPECT_EQ(decoded.active_alerts, original.active_alerts);
 }
 
@@ -291,6 +390,117 @@ TEST(StatsCodec, WrongTypeByteIsRejected) {
   EXPECT_FALSE(decode_stats_payload(payload.data(), payload.size(), decoded));
 }
 
+TEST(StatsCodec, HistogramsTravelAsTheirNonzeroSpan) {
+  // One sample adds exactly one bucket word to the encoding: count, sum,
+  // max and the span header are there even for an empty histogram.
+  StatsSnapshot snapshot;
+  std::vector<std::uint8_t> empty;
+  encode_stats_payload(snapshot, empty);
+  snapshot.latency.record(460);
+  std::vector<std::uint8_t> one;
+  encode_stats_payload(snapshot, one);
+  EXPECT_EQ(one.size(), empty.size() + 8);
+
+  const std::size_t at = histogram_offsets(snapshot)[0];
+  EXPECT_EQ(get_u16_at(one, at + 24), obs::hist::index_of(460));
+  EXPECT_EQ(get_u16_at(one, at + 26), 1u);
+  StatsSnapshot decoded;
+  ASSERT_TRUE(decode_stats_payload(one.data(), one.size(), decoded));
+  EXPECT_EQ(decoded.latency, snapshot.latency);
+}
+
+TEST(StatsCodec, HistogramSpanPastTheLayoutIsRejected) {
+  const StatsSnapshot snapshot = make_backend_snapshot();
+  std::vector<std::uint8_t> payload;
+  encode_stats_payload(snapshot, payload);
+  for (const std::size_t at : histogram_offsets(snapshot)) {
+    const std::uint16_t n = get_u16_at(payload, at + 26);
+    // Ending exactly at kBuckets is the largest legal span...
+    std::vector<std::uint8_t> edge = payload;
+    put_u16_at(edge, at + 24,
+               static_cast<std::uint16_t>(obs::hist::kBuckets - n));
+    StatsSnapshot decoded;
+    EXPECT_TRUE(decode_stats_payload(edge.data(), edge.size(), decoded));
+    // ...one bucket further is not.
+    std::vector<std::uint8_t> past = payload;
+    put_u16_at(past, at + 24,
+               static_cast<std::uint16_t>(obs::hist::kBuckets - n + 1));
+    EXPECT_FALSE(decode_stats_payload(past.data(), past.size(), decoded));
+  }
+}
+
+TEST(StatsCodec, SeededMutationsFailCleanlyOrStayInBounds) {
+  // A mutation loop over valid backend and router encodings: truncation,
+  // bit flips and bucket-span edits.  Each mutant either decodes to false
+  // or to a snapshot whose quantiles and Prometheus rendering stay in
+  // bounds.  Runs under the ASan/UBSan job, which also catches any read
+  // past the payload.
+  std::mt19937_64 rng(0x57a7'5f0a'2bu);
+  for (const StatsSnapshot& seed :
+       {make_backend_snapshot(), make_full_snapshot()}) {
+    std::vector<std::uint8_t> payload;
+    encode_stats_payload(seed, payload);
+    const std::vector<std::size_t> hists = histogram_offsets(seed);
+    for (int round = 0; round < 4000; ++round) {
+      std::vector<std::uint8_t> bytes = payload;
+      const std::size_t at = hists[rng() % hists.size()];
+      const std::uint16_t n = get_u16_at(bytes, at + 26);
+      bool must_fail = false;
+      bool must_pass = false;
+      switch (round % 7) {
+        case 0:  // truncation
+          bytes.resize(rng() % bytes.size());
+          must_fail = true;
+          break;
+        case 1:  // 1-4 bit flips anywhere
+          for (std::uint64_t k = 0, flips = 1 + rng() % 4; k < flips; ++k) {
+            bytes[rng() % bytes.size()] ^=
+                static_cast<std::uint8_t>(1u << (rng() % 8));
+          }
+          break;
+        case 2:  // n = 0: the span's counts now misparse as later fields
+          put_u16_at(bytes, at + 26, 0);
+          break;
+        case 3:  // span moved to end exactly at kBuckets
+          put_u16_at(bytes, at + 24,
+                     static_cast<std::uint16_t>(obs::hist::kBuckets - n));
+          must_pass = true;
+          break;
+        case 4:  // span past kBuckets
+          put_u16_at(bytes, at + 24,
+                     static_cast<std::uint16_t>(obs::hist::kBuckets - n + 1 +
+                                                rng() % 64));
+          must_fail = true;
+          break;
+        case 5:  // count disagrees with the bucket sum
+          put_u64_at(bytes, at, rng() >> (rng() % 64));
+          must_pass = true;
+          break;
+        case 6:  // one bucket (or max) takes an arbitrary value
+          if (n > 0 && rng() % 2 == 0) {
+            put_u64_at(bytes, at + 28 + 8 * (rng() % n), rng());
+          } else {
+            put_u64_at(bytes, at + 16, rng() % 4096);
+          }
+          must_pass = true;
+          break;
+      }
+      StatsSnapshot decoded;
+      const bool ok = decode_stats_payload(bytes.data(), bytes.size(), decoded);
+      if (must_fail) {
+        ASSERT_FALSE(ok) << "round " << round;
+      }
+      if (must_pass) {
+        ASSERT_TRUE(ok) << "round " << round;
+      }
+      if (ok) {
+        ASSERT_NO_FATAL_FAILURE(expect_in_bounds(decoded)) << "round "
+                                                           << round;
+      }
+    }
+  }
+}
+
 TEST(StatsWire, StatsRequestRoundTripsThroughDecodePayload) {
   std::vector<std::uint8_t> frame;
   encode_stats_request(StatsRequestMsg{0xDEADBEEF}, frame);
@@ -368,18 +578,6 @@ TEST(StatsWire, ResponseFrameWrapsPayloadAndRejectsOversize) {
   EXPECT_FALSE(encode_stats_response_frame(oversize, out));
 }
 
-TEST(LatencyStats, QuantilesTrackTheLog2Buckets) {
-  LatencyStats latency;
-  // 90 samples in bucket 3 (us in (8, 16]), 10 in bucket 10.
-  latency.buckets[3] = 90;
-  latency.buckets[10] = 10;
-  latency.count = 100;
-  latency.max_us = 1500;
-  EXPECT_DOUBLE_EQ(latency.quantile_us(0.5), 16.0);   // 2^(3+1)
-  EXPECT_DOUBLE_EQ(latency.quantile_us(0.99), 2048.0);  // 2^(10+1)
-  EXPECT_EQ(LatencyStats{}.quantile_us(0.5), 0.0);
-}
-
 TEST(StatsRender, PrometheusExpositionIsWellFormed) {
   const std::string text = render_prometheus(make_full_snapshot());
   EXPECT_NE(text.find("rlb_up 1\n"), std::string::npos);
@@ -443,6 +641,31 @@ TEST(StatsRender, JsonCarriesTotalsAndSafeSet) {
   EXPECT_NE(json.find("\"window\":{\"span_ms\":9500"), std::string::npos);
   EXPECT_NE(json.find("\"alerts\":[\"safe_set\",\"p99_jump\"]"),
             std::string::npos);
+}
+
+TEST(StatsRender, PrometheusKeepsPowerOfTwoEdgesWithExactCounts) {
+  // The le series are the power-of-two edges 2..2^32 + +Inf whatever the
+  // bucket layout; each is a bucket edge, so le="2^k" counts exactly the
+  // samples below 2^k.
+  StatsSnapshot snapshot;
+  for (std::uint64_t us = 0; us < 5000; ++us) snapshot.latency.record(us);
+  snapshot.latency.record(300'000'000);  // past 2^28, below 2^32
+  snapshot.latency.record(std::uint64_t{1} << 40);  // the catch-all
+  const std::string text = render_prometheus(snapshot);
+  for (unsigned k = 1; k <= 32; ++k) {
+    const std::uint64_t edge = std::uint64_t{1} << k;
+    const std::uint64_t below = std::min<std::uint64_t>(edge, 5000) +
+                                (edge > 300'000'000 ? 1 : 0);
+    const std::string row = "rlb_engine_latency_us_bucket{le=\"" +
+                            std::to_string(edge) + "\"} " +
+                            std::to_string(below) + "\n";
+    EXPECT_NE(text.find(row), std::string::npos) << row;
+  }
+  EXPECT_NE(text.find("rlb_engine_latency_us_bucket{le=\"+Inf\"} 5002\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("rlb_engine_latency_us_count 5002\n"),
+            std::string::npos);
+  expect_in_bounds(snapshot);
 }
 
 TEST(StatsRender, RoleAndBackendIdAppearInBothRenderings) {
