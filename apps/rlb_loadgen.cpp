@@ -37,7 +37,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "harness/output.hpp"
+#include "harness/flags.hpp"
 #include "net/client.hpp"
 #include "net/wire.hpp"
 #include "obs/histogram.hpp"
@@ -466,9 +466,6 @@ int main(int argc, char** argv) {
             "write client.request root spans (JSONL with a\n"
             "clock anchor) for rlb_stat --spans",
             options.span_file);
-  // The loadgen writes its own summary JSON, so the harness's --json (an
-  // at-exit table document) stays out of its table.
-  harness::add_output_flags(flags, /*json=*/false);
   flags.parse(argc, argv);
 
   if (!options.span_file.empty()) {
@@ -598,9 +595,8 @@ int main(int argc, char** argv) {
        << "}\n";
   }
 
-  // Flush trace sinks before exit (atomic tmp+rename — a consumer racing
+  // Flush the span file before exit (atomic tmp+rename — a consumer racing
   // with shutdown never reads a truncated JSONL file).
-  obs::flush_trace();
   obs::flush_spans();
 
   return total.protocol_errors == 0 ? 0 : 1;

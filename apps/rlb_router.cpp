@@ -16,12 +16,11 @@
 #include <unistd.h>
 
 #include "cluster/router.hpp"
-#include "harness/output.hpp"
+#include "harness/flags.hpp"
 #include "net/stats.hpp"
 #include "obs/health.hpp"
 #include "obs/journal.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 
 namespace {
 
@@ -101,7 +100,6 @@ int main(int argc, char** argv) {
             "flight-record JSON dump target for SIGQUIT /\n"
             "drain (empty string disables)",
             flight_recorder_path);
-  harness::add_output_flags(flags);
   flags.parse(argc, argv);
   obs::SpanRecorder::instance().set_slow_budget_ns(span_slow_us * 1000);
 
@@ -206,10 +204,6 @@ int main(int argc, char** argv) {
   // Capture the post-mortem before stop() tears down the upstream view.
   dump_flight_record("drain");
   router->stop();
-  // Flush trace sinks during the drain (atomic tmp+rename): no truncated
-  // --trace / span JSONL on SIGTERM.
-  obs::flush_trace();
-  obs::flush_spans();
 
   const cluster::RouterStats s = router->stats();
   std::cout << "rlb_router: done. received=" << s.received
@@ -219,7 +213,7 @@ int main(int argc, char** argv) {
             << " upstream_timeout=" << s.rejected_upstream_timeout
             << " retries=" << s.retries << " timeouts=" << s.timeouts
             << " late=" << s.late_responses << " drops=" << s.backend_drops
-            << std::endl;
+            << " failovers=" << s.send_failovers << std::endl;
   if (config.repair.enabled) {
     const net::RepairStats r = router->repair_stats();
     std::cout << "rlb_router: repair done. epoch=" << router->placement_epoch()
@@ -227,6 +221,5 @@ int main(int argc, char** argv) {
               << " failed=" << r.migrations_failed
               << " bytes=" << r.bytes_sent << std::endl;
   }
-  harness::emit_probes();
   return 0;
 }

@@ -27,6 +27,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -55,18 +56,22 @@ struct WatchDelta {
   std::uint64_t rejected = 0;
 };
 
-/// `<name>: count=.. p50=.. p95=.. p99=.. max=..` for one histogram.
-void print_histogram(const char* name, const rlb::obs::LogHistogram& h) {
-  std::cout << name << ": count=" << h.count << " p50=" << h.quantile(0.5)
+/// `<key>_<unit>: count=.. p50=.. p95=.. p99=.. max=..` for one histogram.
+void print_histogram(const rlb::net::HistogramDesc& desc,
+                     const rlb::obs::LogHistogram& h) {
+  std::cout << desc.key << (*desc.unit ? "_" : "") << desc.unit
+            << ": count=" << h.count << " p50=" << h.quantile(0.5)
             << " p95=" << h.quantile(0.95) << " p99=" << h.quantile(0.99)
             << " max=" << h.max << "\n";
 }
 
 /// Windowed p50/p99 beside the lifetime ones, when the window has samples.
-void print_window(const char* name, const rlb::obs::LogHistogram& window,
+void print_window(const rlb::net::HistogramDesc& desc,
+                  const rlb::obs::LogHistogram& window,
                   const rlb::obs::LogHistogram& lifetime) {
   if (window.count == 0) return;
-  std::cout << "  win_" << name << ": p50=" << window.quantile(0.5)
+  std::cout << "  win_" << desc.key << "_" << desc.unit
+            << ": p50=" << window.quantile(0.5)
             << " p99=" << window.quantile(0.99)
             << " (lifetime p50=" << lifetime.quantile(0.5)
             << " p99=" << lifetime.quantile(0.99) << ")\n";
@@ -75,56 +80,45 @@ void print_window(const char* name, const rlb::obs::LogHistogram& window,
 void print_pretty(const rlb::net::StatsSnapshot& snapshot,
                   const WatchDelta* delta = nullptr) {
   using rlb::report::Table;
-  const rlb::net::ShardStats totals = snapshot.totals();
+  namespace net = rlb::net;
+  const net::ShardStats totals = snapshot.totals();
 
-  std::cout << rlb::net::to_string(snapshot.role) << " " << snapshot.policy
+  std::cout << net::to_string(snapshot.role) << " " << snapshot.policy
             << " id=" << snapshot.backend_id << " m=" << snapshot.servers
             << " d=" << snapshot.replication << " g="
             << snapshot.processing_rate << " q=" << snapshot.queue_capacity
             << " shards=" << snapshot.shard_count << " uptime="
             << snapshot.uptime_ms / 1000 << "s\n";
 
-  Table shards({"shard", "submitted", "completed", "rej_q", "rej_down",
-                "rej_adm", "rej_drop", "inbound", "waiting", "inflight",
-                "backlog", "down", "ticks"});
-  for (const rlb::net::ShardStats& s : snapshot.shards) {
-    shards.row()
-        .cell(static_cast<std::uint64_t>(s.shard))
-        .cell(s.submitted)
-        .cell(s.completed)
-        .cell(s.rejected_queue_full)
-        .cell(s.rejected_all_down)
-        .cell(s.rejected_admission)
-        .cell(s.rejected_drop)
-        .cell(s.inbound_depth)
-        .cell(s.waiting_depth)
-        .cell(s.inflight)
-        .cell(s.backlog)
-        .cell(s.servers_down)
-        .cell(s.ticks);
+  // One row per STATS field, one column per shard (a router: per backend)
+  // plus the merged total.
+  std::vector<std::string> headers{"field"};
+  for (const net::ShardStats& s : snapshot.shards) {
+    headers.push_back(
+        (snapshot.role == net::NodeRole::kRouter ? "backend " : "shard ") +
+        std::to_string(s.shard));
   }
-  shards.row()
-      .cell("total")
-      .cell(totals.submitted)
-      .cell(totals.completed)
-      .cell(totals.rejected_queue_full)
-      .cell(totals.rejected_all_down)
-      .cell(totals.rejected_admission)
-      .cell(totals.rejected_drop)
-      .cell(totals.inbound_depth)
-      .cell(totals.waiting_depth)
-      .cell(totals.inflight)
-      .cell(totals.backlog)
-      .cell(totals.servers_down)
-      .cell(totals.ticks);
+  headers.push_back("total");
+  Table shards(headers);
+  for (const net::FieldDesc<net::ShardStats>& f : net::kShardFields) {
+    shards.row().cell(f.key);
+    for (const net::ShardStats& s : snapshot.shards) shards.cell(s.*f.member);
+    shards.cell(totals.*f.member);
+  }
   shards.print(std::cout);
 
-  print_histogram("latency_us", snapshot.latency);
+  // Histograms with samples (latency always, so an idle daemon still shows
+  // the line).
+  for (const net::HistogramDesc& h : net::kHistogramFields) {
+    const rlb::obs::LogHistogram& hist = snapshot.*h.member;
+    if (hist.count > 0 || h.member == &net::StatsSnapshot::latency) {
+      print_histogram(h, hist);
+    }
+  }
 
-  // Health plane (v5): the trailing-window view.  Windowed quantiles sit
-  // next to their lifetime counterparts so an incident's p99 spike is
-  // visible even after hours of uptime have diluted the lifetime
-  // histogram.
+  // Health plane: the trailing-window view.  Windowed quantiles sit next to
+  // their lifetime counterparts so an incident's p99 spike is visible even
+  // after hours of uptime have diluted the lifetime histogram.
   if (snapshot.window_span_ms > 0) {
     const double span_s =
         static_cast<double>(snapshot.window_span_ms) / 1000.0;
@@ -135,10 +129,13 @@ void print_pretty(const rlb::net::StatsSnapshot& snapshot,
               << static_cast<std::uint64_t>(
                      static_cast<double>(snapshot.win_completed) / span_s)
               << "\n";
-    print_window("latency_us", snapshot.win_latency, snapshot.latency);
-    print_window("hop_rtt_us", snapshot.win_hop_rtt, snapshot.hop_rtt);
-    print_window("queue_wait_us", snapshot.win_queue_wait,
-                 snapshot.queue_wait);
+    for (const net::HistogramDesc& w : net::kWindowHistogramFields) {
+      for (const net::HistogramDesc& h : net::kHistogramFields) {
+        if (std::string_view(h.key) == w.key) {
+          print_window(w, snapshot.*w.member, snapshot.*h.member);
+        }
+      }
+    }
   }
 
   // --watch: deltas between this scrape and the previous one.
@@ -168,33 +165,17 @@ void print_pretty(const rlb::net::StatsSnapshot& snapshot,
     std::cout << "\n";
   }
 
-  // Per-hop decomposition (v3): a router reports upstream RTTs, a backend
-  // reports submit->drain-tick queue wait.  The counterpart stays empty.
-  if (snapshot.hop_rtt.count > 0) {
-    print_histogram("hop_rtt_us", snapshot.hop_rtt);
+  // Repair plane: epoch + every repair counter, shown once the cluster has
+  // repaired (or is repairing) something.  The counterpart tier's fields
+  // read 0.
+  bool repairing = snapshot.placement_epoch != 0;
+  for (const net::FieldDesc<net::RepairStats>& f : net::kRepairFields) {
+    repairing = repairing || snapshot.repair.*f.member != 0;
   }
-  if (snapshot.queue_wait.count > 0) {
-    print_histogram("queue_wait_us", snapshot.queue_wait);
-  }
-
-  // Repair plane (v4): epoch + migration counters, shown only once the
-  // cluster has actually repaired (or is repairing) something.
-  const rlb::net::RepairStats& r = snapshot.repair;
-  if (snapshot.placement_epoch != 0 || r.migrations_done != 0 ||
-      r.migrations_inflight != 0 || r.chunks_pending != 0 ||
-      r.migrations_in != 0 || r.migrations_out != 0) {
+  if (repairing) {
     std::cout << "repair: epoch=" << snapshot.placement_epoch;
-    if (snapshot.role == rlb::net::NodeRole::kRouter) {
-      std::cout << " migrated=" << r.migrations_done
-                << " failed=" << r.migrations_failed
-                << " inflight=" << r.migrations_inflight
-                << " pending=" << r.chunks_pending
-                << " bytes_sent=" << r.bytes_sent;
-    } else {
-      std::cout << " migrations_in=" << r.migrations_in
-                << " migrations_out=" << r.migrations_out
-                << " bytes_in=" << r.migration_bytes_in
-                << " bytes_out=" << r.migration_bytes_out;
+    for (const net::FieldDesc<net::RepairStats>& f : net::kRepairFields) {
+      std::cout << " " << f.key << "=" << snapshot.repair.*f.member;
     }
     std::cout << "\n";
   }
@@ -207,7 +188,7 @@ void print_pretty(const rlb::net::StatsSnapshot& snapshot,
             << "\n";
   if (!snapshot.safe_set.empty()) {
     Table levels({"level_j", "backlog_gt_j", "bound_m_2j", "ratio"});
-    for (const rlb::net::SafeSetLevelStats& level : snapshot.safe_set) {
+    for (const net::SafeSetLevelStats& level : snapshot.safe_set) {
       levels.row()
           .cell(static_cast<std::uint64_t>(level.level))
           .cell(level.observed)
@@ -256,78 +237,84 @@ std::vector<ClusterRow> scrape_cluster(
   return rows;
 }
 
-void print_cluster_pretty(const std::vector<ClusterRow>& rows) {
-  using rlb::report::Table;
-  Table table({"endpoint", "role", "id", "policy", "m", "submitted",
-               "completed", "rejected", "errors", "backlog", "down", "epoch",
-               "p99_us", "uptime_s"});
-  rlb::net::ShardStats backend_totals;
-  std::uint64_t backends_seen = 0;
+/// Backend rows folded by the table's merge rules.  Backends only: a
+/// router relays what backends serve, so summing the two tiers would
+/// double-count completions.
+rlb::net::ShardStats backend_totals(const std::vector<ClusterRow>& rows) {
+  rlb::net::ShardStats totals;
   for (const ClusterRow& row : rows) {
-    const std::string where =
-        row.endpoint.host + ":" + std::to_string(row.endpoint.port);
-    if (!row.reachable) {
-      table.row().cell(where).cell("unreachable");
-      continue;
-    }
-    if (row.version_mismatch) {
-      table.row().cell(where).cell("version mismatch (v" +
-                                   std::to_string(row.peer_version) + ")");
-      continue;
-    }
-    const rlb::net::ShardStats t = row.snapshot.totals();
-    table.row()
-        .cell(where)
-        .cell(rlb::net::to_string(row.snapshot.role))
-        .cell(static_cast<std::uint64_t>(row.snapshot.backend_id))
-        .cell(row.snapshot.policy)
-        .cell(static_cast<std::uint64_t>(row.snapshot.servers))
-        .cell(t.submitted)
-        .cell(t.completed)
-        .cell(t.rejected_total())
-        .cell(t.errors)
-        .cell(t.backlog)
-        .cell(t.servers_down)
-        .cell(row.snapshot.placement_epoch)
-        .cell(row.snapshot.latency.quantile(0.99))
-        .cell(row.snapshot.uptime_ms / 1000);
-    if (row.snapshot.role == rlb::net::NodeRole::kBackend) {
-      ++backends_seen;
-      backend_totals.submitted += t.submitted;
-      backend_totals.completed += t.completed;
-      backend_totals.rejected_queue_full += t.rejected_total();
-      backend_totals.errors += t.errors;
-      backend_totals.backlog += t.backlog;
-      backend_totals.servers_down += t.servers_down;
+    if (row.reachable && !row.version_mismatch &&
+        row.snapshot.role == rlb::net::NodeRole::kBackend) {
+      rlb::net::merge_fields(totals, row.snapshot.totals(),
+                             rlb::net::kShardFields);
     }
   }
-  if (backends_seen > 0) {
-    // Backends only: a router relays what backends serve, so summing the
-    // two tiers would double-count completions.
-    table.row()
-        .cell("backends")
-        .cell("total")
-        .cell("")
-        .cell("")
-        .cell("")
-        .cell(backend_totals.submitted)
-        .cell(backend_totals.completed)
-        .cell(backend_totals.rejected_queue_full)
-        .cell(backend_totals.errors)
-        .cell(backend_totals.backlog)
-        .cell(backend_totals.servers_down)
-        .cell("")
-        .cell("")
-        .cell("");
+  return totals;
+}
+
+/// One column per endpoint plus the backend total; identity rows, then
+/// one row per STATS field.
+void print_cluster_pretty(const std::vector<ClusterRow>& rows) {
+  namespace net = rlb::net;
+  using rlb::report::Table;
+  std::vector<std::string> headers{"field"};
+  for (const ClusterRow& row : rows) {
+    headers.push_back(row.endpoint.host + ":" +
+                      std::to_string(row.endpoint.port));
+  }
+  headers.push_back("backends");
+  Table table(headers);
+  table.row().cell("role");
+  for (const ClusterRow& row : rows) {
+    if (!row.reachable) {
+      table.cell("unreachable");
+    } else if (row.version_mismatch) {
+      table.cell("version mismatch (v" + std::to_string(row.peer_version) +
+                 ")");
+    } else {
+      table.cell(net::to_string(row.snapshot.role));
+    }
+  }
+  table.cell("total");
+  // A per-endpoint row: `value(snapshot)` for the usable endpoints, blank
+  // for the rest, `total` in the backends column.
+  auto add_row = [&](const char* name, auto value, const std::string& total) {
+    table.row().cell(name);
+    for (const ClusterRow& row : rows) {
+      if (row.reachable && !row.version_mismatch) {
+        table.cell(value(row.snapshot));
+      } else {
+        table.cell("");
+      }
+    }
+    table.cell(total);
+  };
+  using Snap = net::StatsSnapshot;
+  add_row("id", [](const Snap& s) { return std::to_string(s.backend_id); }, "");
+  add_row("policy", [](const Snap& s) { return s.policy; }, "");
+  add_row("m", [](const Snap& s) { return std::to_string(s.servers); }, "");
+  add_row("epoch",
+          [](const Snap& s) { return std::to_string(s.placement_epoch); }, "");
+  add_row("latency_p99_us",
+          [](const Snap& s) {
+            return std::to_string(s.latency.quantile(0.99));
+          },
+          "");
+  add_row("uptime_s",
+          [](const Snap& s) { return std::to_string(s.uptime_ms / 1000); }, "");
+  const net::ShardStats totals = backend_totals(rows);
+  for (const net::FieldDesc<net::ShardStats>& f : net::kShardFields) {
+    add_row(f.key,
+            [&f](const Snap& s) {
+              return std::to_string(s.totals().*f.member);
+            },
+            std::to_string(totals.*f.member));
   }
   table.print(std::cout);
 }
 
 void print_cluster_json(const std::vector<ClusterRow>& rows) {
   std::cout << "{\"endpoints\":[";
-  std::uint64_t backend_completed = 0;
-  std::uint64_t backend_rejected = 0;
-  std::uint64_t backend_errors = 0;
   bool first = true;
   for (const ClusterRow& row : rows) {
     if (!first) std::cout << ",";
@@ -342,18 +329,13 @@ void print_cluster_json(const std::vector<ClusterRow>& rows) {
     }
     if (row.reachable) {
       std::cout << ",\"snapshot\":" << rlb::net::render_json(row.snapshot);
-      if (row.snapshot.role == rlb::net::NodeRole::kBackend) {
-        const rlb::net::ShardStats t = row.snapshot.totals();
-        backend_completed += t.completed;
-        backend_rejected += t.rejected_total();
-        backend_errors += t.errors;
-      }
     }
     std::cout << "}";
   }
-  std::cout << "],\"backend_totals\":{\"completed\":" << backend_completed
-            << ",\"rejected\":" << backend_rejected
-            << ",\"errors\":" << backend_errors << "}}\n";
+  const rlb::net::ShardStats totals = backend_totals(rows);
+  std::cout << "],\"backend_totals\":{"
+            << rlb::net::json_fields(totals, rlb::net::kShardFields)
+            << ",\"rejected\":" << totals.rejected_total() << "}}\n";
 }
 
 // ---------------------------------------------------------------------------

@@ -163,6 +163,8 @@ int main(int argc, char** argv) {
       [&engine](std::uint64_t bytes) { engine.note_migration_in(bytes); });
   migration_agent.set_on_migration_out(
       [&engine](std::uint64_t bytes) { engine.note_migration_out(bytes); });
+  migration_agent.set_on_corrupt_slice(
+      [&engine] { engine.note_corrupt_slice(); });
   migration_agent.install();
 
   // EVENTS reads the control-plane journal or the span flight recorder by
@@ -261,11 +263,12 @@ int main(int argc, char** argv) {
       safe_set_log.flush();
     }
     if (stats_interval_s > 0 && iterations % (5 * stats_interval_s) == 0) {
-      const engine::EngineStats s = engine.stats();
+      const net::ShardStats s = engine.snapshot().totals();
       const net::ServerStats n = server.stats();
       std::cout << "rlbd: submitted=" << s.submitted
-                << " completed=" << s.completed << " rejected=" << s.rejected
-                << " overload=" << s.overload_rejected
+                << " completed=" << s.completed
+                << " rejected=" << s.rejected_total() - s.rejected_admission
+                << " overload=" << s.rejected_admission
                 << " backlog=" << s.backlog << " ticks=" << s.ticks
                 << " down=" << s.servers_down
                 << " conns=" << (n.connections_accepted - n.connections_closed)
@@ -289,14 +292,14 @@ int main(int argc, char** argv) {
   obs::flush_trace();
   obs::flush_spans();
 
-  const engine::EngineStats s = engine.stats();
+  const net::ShardStats s = engine.snapshot().totals();
   const net::ServerStats n = server.stats();
   std::cout << "rlbd: done. submitted=" << s.submitted
-            << " completed=" << s.completed << " rejected=" << s.rejected
-            << " overload=" << s.overload_rejected
+            << " completed=" << s.completed
+            << " rejected=" << s.rejected_total() - s.rejected_admission
+            << " overload=" << s.rejected_admission
             << " crashes=" << s.crashes << " recoveries=" << s.recoveries
             << " bytes_in=" << n.bytes_in << " bytes_out=" << n.bytes_out
             << " proto_errors=" << n.protocol_errors << std::endl;
-  harness::emit_probes();
   return 0;
 }

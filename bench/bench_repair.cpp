@@ -95,6 +95,7 @@ class Backend {
         [this](std::uint64_t bytes) { engine_->note_migration_in(bytes); });
     agent_->set_on_migration_out(
         [this](std::uint64_t bytes) { engine_->note_migration_out(bytes); });
+    agent_->set_on_corrupt_slice([this] { engine_->note_corrupt_slice(); });
     agent_->install();
     engine_->start();
     server_->start();

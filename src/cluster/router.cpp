@@ -22,7 +22,6 @@
 #include "net/stats.hpp"
 #include "net/upstream.hpp"
 #include "obs/journal.hpp"
-#include "obs/probes.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "obs/window.hpp"
@@ -212,6 +211,7 @@ struct Router::Impl {
     std::atomic<std::uint64_t> timeouts{0};
     std::atomic<std::uint64_t> late_responses{0};
     std::atomic<std::uint64_t> backend_drops{0};
+    std::atomic<std::uint64_t> send_failovers{0};
   };
 
   struct Pending {
@@ -298,8 +298,6 @@ struct Router::Impl {
                   std::uint64_t tried, const obs::TraceContext& trace = {},
                   std::uint64_t request_span_id = 0,
                   std::uint64_t request_start_ns = 0) {
-    static obs::Counter forwarded_probe("router.forwarded");
-    static obs::Counter failover_probe("router.send_failover");
     const unsigned budget =
         config.max_attempts == 0 ? replication : config.max_attempts;
     const core::ChoiceList candidates = placement.choices(chunk);
@@ -364,7 +362,6 @@ struct Router::Impl {
         per_backend[static_cast<std::size_t>(backend)].forwarded.fetch_add(
             1, std::memory_order_relaxed);
         win_hop_rtt.add(kWinForwarded);
-        forwarded_probe.add();
         return Forward::kSent;
       }
       // The connection died between the membership check and the enqueue:
@@ -388,7 +385,7 @@ struct Router::Impl {
                   static_cast<std::uint32_t>(backend), 0);
       membership.note_answered(static_cast<std::uint32_t>(backend));
       membership.force_down(static_cast<std::uint32_t>(backend));
-      failover_probe.add();
+      counters.send_failovers.fetch_add(1, std::memory_order_relaxed);
     }
     return Forward::kBudgetSpent;
   }
@@ -506,10 +503,8 @@ struct Router::Impl {
   /// A backend's data-plane connection dropped: fail its in-flight hops
   /// over to other candidates (or reject) immediately.
   void handle_upstream_drop(int backend) {
-    static obs::Counter drop_probe("router.backend_drops");
     membership.force_down(static_cast<std::uint32_t>(backend));
     counters.backend_drops.fetch_add(1, std::memory_order_relaxed);
-    drop_probe.add();
     std::vector<Pending> orphaned;
     for (Stripe& stripe : stripes) {
       std::lock_guard<std::mutex> lock(stripe.mu);
@@ -591,8 +586,6 @@ struct Router::Impl {
   /// the queue-depth gauges piggybacked in the STATS_RESP refresh the
   /// backlog estimate.
   void heartbeat_loop(std::size_t backend) {
-    static obs::Counter hb_ok_probe("router.heartbeat_ok");
-    static obs::Counter hb_miss_probe("router.heartbeat_miss");
     const BackendEndpoint& endpoint = config.backends[backend];
     net::Client client;
     client.set_recv_timeout_ms(config.heartbeat_timeout_ms);
@@ -631,10 +624,8 @@ struct Router::Impl {
         // connect/flush/read failure or protocol violation: miss.
       }
       if (ok) {
-        hb_ok_probe.add();
         membership.record_success(static_cast<std::uint32_t>(backend), sample);
       } else {
-        hb_miss_probe.add();
         // Drop the connection so the next round re-dials from scratch
         // (a half-read or stale buffered snapshot must not skew rounds).
         client.close();
@@ -851,6 +842,7 @@ RouterStats Router::stats() const {
   out.timeouts = c.timeouts.load(std::memory_order_relaxed);
   out.late_responses = c.late_responses.load(std::memory_order_relaxed);
   out.backend_drops = c.backend_drops.load(std::memory_order_relaxed);
+  out.send_failovers = c.send_failovers.load(std::memory_order_relaxed);
   return out;
 }
 

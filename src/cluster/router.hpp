@@ -88,6 +88,9 @@ struct RouterStats {
   std::uint64_t timeouts = 0;        ///< hop deadlines that expired
   std::uint64_t late_responses = 0;  ///< answers for already-retired hops
   std::uint64_t backend_drops = 0;   ///< data-plane disconnect events
+  /// Forwards whose enqueue found the backend's connection dead, failed
+  /// over within the same attempt budget.
+  std::uint64_t send_failovers = 0;
 };
 
 class Router {

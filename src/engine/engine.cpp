@@ -21,8 +21,6 @@
 #include "core/safe_distribution.hpp"
 #include "hashing/hash.hpp"
 #include "obs/journal.hpp"
-#include "obs/probes.hpp"
-#include "obs/timer.hpp"
 #include "obs/trace.hpp"
 #include "obs/window.hpp"
 #include "policies/factory.hpp"
@@ -262,18 +260,18 @@ struct ServingEngine::Impl {
     // ~100 ms, so an overload storm reports without flooding the ring.
     std::uint64_t last_shed_journal_ns = 0;
 
-    // Live counters (worker writes, stats()/snapshot() read).  The STATS
-    // plane reads these directly, so they stay live with obs compiled out.
+    // Live counters (worker writes, snapshot() reads).  The STATS plane
+    // reads these directly, so they stay live with obs compiled out.
     std::atomic<std::uint64_t> submitted{0};
     std::atomic<std::uint64_t> completed{0};
-    std::atomic<std::uint64_t> rejected{0};
     std::atomic<std::uint64_t> rejected_queue_full{0};
     std::atomic<std::uint64_t> rejected_all_down{0};
+    std::atomic<std::uint64_t> rejected_admission{0};
     std::atomic<std::uint64_t> rejected_drop{0};
-    std::atomic<std::uint64_t> overload_rejected{0};
     std::atomic<std::uint64_t> ticks{0};
     std::atomic<std::uint64_t> crashes{0};
     std::atomic<std::uint64_t> recoveries{0};
+    std::atomic<std::uint64_t> sink_orphans{0};
     std::atomic<std::uint64_t> backlog{0};
     std::atomic<std::size_t> down{0};
     std::atomic<std::uint64_t> batches{0};
@@ -290,6 +288,11 @@ struct ServingEngine::Impl {
     // Queue-wait decomposition (v3 stats): submit_batch() to drain-tick
     // delivery — the MPSC queue + waiting-room share of the latency above.
     obs::AtomicLogHistogram queue_wait;
+
+    // Drain-tick cost (v7 stats), one sample per tick: step() nanoseconds
+    // and the distinct chunks of each non-empty batch.
+    obs::AtomicLogHistogram step_hist;
+    obs::AtomicLogHistogram batch_hist;
 
     // Per-server backlog, refreshed once per tick from the balancer.  The
     // scrape-side safe-set monitor merges these across shards to rebuild
@@ -348,22 +351,15 @@ struct ServingEngine::Impl {
       owner->respond(response);
     }
 
+    /// Every policy attributes its rejects; an unattributed one counts
+    /// as a drop so the causes still sum to every reject.
     void on_rejected(core::ChunkId x) override {
-      Pending pending;
-      if (!pop_pending(x, pending)) return;
-      EngineResponse response;
-      response.conn_token = pending.conn_token;
-      response.request_id = pending.request_id;
-      response.status = kEngineReject;
-      rejected.fetch_add(1, std::memory_order_relaxed);
-      owner->win_latency.add(kWinRejected);
-      record_latency(pending.submit_ns);
-      record_span(pending.trace, pending.submit_ns, pending.queue_depth,
-                  kEngineReject);
-      owner->respond(response);
+      on_rejected(x, core::RejectCause::kQueueDrop);
     }
 
     void on_rejected(core::ChunkId x, core::RejectCause cause) override {
+      Pending pending;
+      if (!pop_pending(x, pending)) return;
       switch (cause) {
         case core::RejectCause::kQueueFull:
           rejected_queue_full.fetch_add(1, std::memory_order_relaxed);
@@ -375,7 +371,21 @@ struct ServingEngine::Impl {
           rejected_drop.fetch_add(1, std::memory_order_relaxed);
           break;
       }
-      on_rejected(x);
+      reject_pending(pending);
+    }
+
+    /// Answer one routed request with kEngineReject (its cause already
+    /// counted).
+    void reject_pending(const Pending& pending) {
+      EngineResponse response;
+      response.conn_token = pending.conn_token;
+      response.request_id = pending.request_id;
+      response.status = kEngineReject;
+      owner->win_latency.add(kWinRejected);
+      record_latency(pending.submit_ns);
+      record_span(pending.trace, pending.submit_ns, pending.queue_depth,
+                  kEngineReject);
+      owner->respond(response);
     }
 
     bool pop_pending(core::ChunkId x, Pending& out) {
@@ -383,8 +393,7 @@ struct ServingEngine::Impl {
       if (it == inflight.end() || it->second.empty()) {
         // A sink event with no matching delivery would mean the balancer
         // broke the one-event-per-request contract; count, don't crash.
-        static obs::Counter orphans("engine.sink_orphans");
-        orphans.add();
+        sink_orphans.fetch_add(1, std::memory_order_relaxed);
         return false;
       }
       out = it->second.front();
@@ -408,7 +417,6 @@ struct ServingEngine::Impl {
   std::size_t waiting_limit = 0;
   std::vector<std::unique_ptr<Shard>> shards;
   std::atomic<bool> accepting{false};
-  std::atomic<std::uint64_t> submitted{0};
   // Repair plane (StatsSnapshot v4): the placement epoch last heard on a
   // router heartbeat, and this backend's migration traffic totals.
   std::atomic<std::uint64_t> placement_epoch{0};
@@ -416,6 +424,7 @@ struct ServingEngine::Impl {
   std::atomic<std::uint64_t> migrations_out{0};
   std::atomic<std::uint64_t> migration_bytes_in{0};
   std::atomic<std::uint64_t> migration_bytes_out{0};
+  std::atomic<std::uint64_t> slices_corrupt{0};
   std::uint64_t start_ns = 0;  // obs::now_ns() at start(); 0 until then
   bool started = false;
   bool stopped = false;
@@ -466,13 +475,9 @@ void ServingEngine::Impl::Shard::apply_failures() {
     if (transition.up) {
       recoveries.fetch_add(1, std::memory_order_relaxed);
       down.fetch_sub(1, std::memory_order_relaxed);
-      RLB_TRACE_EVENT(obs::EventKind::kFault, "engine.recover",
-                      base + transition.server, tick);
     } else {
       crashes.fetch_add(1, std::memory_order_relaxed);
       down.fetch_add(1, std::memory_order_relaxed);
-      RLB_TRACE_EVENT(obs::EventKind::kFault, "engine.crash",
-                      base + transition.server, tick);
     }
   }
 }
@@ -512,19 +517,6 @@ std::size_t ServingEngine::Impl::Shard::build_batch(
 }
 
 void ServingEngine::Impl::Shard::run() {
-  static obs::Counter tick_counter("engine.ticks");
-  static obs::Histogram batch_hist("engine.batch_size");
-  static obs::Histogram step_hist("engine.step_ns");
-  static obs::Gauge backlog_gauge("engine.backlog");
-  static obs::Gauge waiting_gauge("engine.waiting_depth");
-  // Per-shard probes: the registry's per-thread shards merge counters on
-  // scrape, but gauges merge as min/max, so per-shard visibility in
-  // --probes output needs per-shard names.
-  const std::string shard_tag = "engine.shard" + std::to_string(index);
-  obs::Gauge shard_backlog_gauge(shard_tag + ".backlog");
-  obs::Gauge shard_waiting_gauge(shard_tag + ".waiting_depth");
-  obs::Gauge shard_inbound_gauge(shard_tag + ".inbound_depth");
-
   std::vector<core::ChunkId> batch;
   std::vector<Waiting> incoming;
   const std::uint64_t interval_us = owner->config.tick_interval_us;
@@ -565,7 +557,7 @@ void ServingEngine::Impl::Shard::run() {
     for (const Waiting& request : incoming) {
       if (waiting.size() >= owner->waiting_limit) {
         const std::uint64_t sheds =
-            overload_rejected.fetch_add(1, std::memory_order_relaxed) + 1;
+            rejected_admission.fetch_add(1, std::memory_order_relaxed) + 1;
         owner->win_latency.add(Impl::kWinRejected);
         const std::uint64_t shed_now = obs::now_ns();
         if (shed_now - last_shed_journal_ns > 100'000'000) {
@@ -595,15 +587,14 @@ void ServingEngine::Impl::Shard::run() {
     const std::size_t batch_size = build_batch(batch, owner->max_batch);
     waiting_depth.store(waiting.size(), std::memory_order_relaxed);
     if (batch_size > 0 || balancer_backlog > 0) {
-      obs::ObsTimer step_timer("engine.step",
-                               obs::enabled() ? &step_hist : nullptr, index);
+      const std::uint64_t step_start = obs::now_ns();
       balancer->step(static_cast<core::Time>(tick), batch, metrics);
-      const double step_seconds = step_timer.stop();
-      step_ns.fetch_add(static_cast<std::uint64_t>(step_seconds * 1e9),
-                        std::memory_order_relaxed);
-      batch_hist.observe(static_cast<double>(batch_size));
+      const std::uint64_t step_time = obs::now_ns() - step_start;
+      step_ns.fetch_add(step_time, std::memory_order_relaxed);
+      step_hist.record(step_time);
     }
     if (batch_size > 0) {
+      batch_hist.record(batch_size);
       batches.fetch_add(1, std::memory_order_relaxed);
       batched_chunks.fetch_add(batch_size, std::memory_order_relaxed);
       std::uint64_t prev = max_batch_seen.load(std::memory_order_relaxed);
@@ -614,15 +605,6 @@ void ServingEngine::Impl::Shard::run() {
     }
     ++tick;
     ticks.fetch_add(1, std::memory_order_relaxed);
-    tick_counter.add();
-    backlog_gauge.set(static_cast<double>(balancer->total_backlog()));
-    waiting_gauge.set(static_cast<double>(waiting.size()));
-    shard_backlog_gauge.set(static_cast<double>(balancer->total_backlog()));
-    shard_waiting_gauge.set(static_cast<double>(waiting.size()));
-    shard_inbound_gauge.set(static_cast<double>(
-        inbound_depth.load(std::memory_order_relaxed)));
-    RLB_TRACE_EVENT(obs::EventKind::kEngine, "engine.tick", index,
-                    batch_size);
 
     if (shutting_down) {
       std::unique_lock lock(mutex);
@@ -639,17 +621,11 @@ void ServingEngine::Impl::Shard::run() {
         balancer->flush(metrics);
         for (auto& [chunk, queue] : inflight) {
           // Anything the balancer could not attribute (sink unsupported
-          // paths) is answered as rejected rather than leaked.
+          // paths) is answered as rejected rather than leaked: a drain
+          // flush, so it counts as a drop.
           for (const Pending& pending : queue) {
-            EngineResponse response;
-            response.conn_token = pending.conn_token;
-            response.request_id = pending.request_id;
-            response.status = kEngineReject;
-            rejected.fetch_add(1, std::memory_order_relaxed);
-            record_latency(pending.submit_ns);
-            record_span(pending.trace, pending.submit_ns,
-                        pending.queue_depth, kEngineReject);
-            owner->respond(response);
+            rejected_drop.fetch_add(1, std::memory_order_relaxed);
+            reject_pending(pending);
           }
           inflight_count.fetch_sub(queue.size(), std::memory_order_relaxed);
           queue.clear();
@@ -841,7 +817,6 @@ void ServingEngine::submit_batch(const SubmitItem* items, std::size_t count,
       }
     }
     if (admitted) {
-      impl_->submitted.fetch_add(n, std::memory_order_relaxed);
       shard.submitted.fetch_add(n, std::memory_order_relaxed);
       shard.inbound_depth.fetch_add(n, std::memory_order_relaxed);
       impl_->win_latency.add(Impl::kWinSubmitted, n, now);
@@ -855,31 +830,7 @@ void ServingEngine::submit_batch(const SubmitItem* items, std::size_t count,
   }
 }
 
-EngineStats ServingEngine::stats() const {
-  EngineStats out;
-  out.submitted = impl_->submitted.load(std::memory_order_relaxed);
-  for (const auto& shard : impl_->shards) {
-    out.completed += shard->completed.load(std::memory_order_relaxed);
-    out.rejected += shard->rejected.load(std::memory_order_relaxed);
-    out.rejected_queue_full +=
-        shard->rejected_queue_full.load(std::memory_order_relaxed);
-    out.rejected_all_down +=
-        shard->rejected_all_down.load(std::memory_order_relaxed);
-    out.rejected_drop += shard->rejected_drop.load(std::memory_order_relaxed);
-    out.overload_rejected +=
-        shard->overload_rejected.load(std::memory_order_relaxed);
-    out.ticks += shard->ticks.load(std::memory_order_relaxed);
-    out.crashes += shard->crashes.load(std::memory_order_relaxed);
-    out.recoveries += shard->recoveries.load(std::memory_order_relaxed);
-    out.backlog += shard->backlog.load(std::memory_order_relaxed);
-    out.servers_down += shard->down.load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
 net::StatsSnapshot ServingEngine::snapshot() const {
-  static obs::Gauge safe_ratio_gauge("engine.safe.worst_ratio");
-
   net::StatsSnapshot out;
   out.uptime_ms =
       impl_->start_ns ? (obs::now_ns() - impl_->start_ns) / 1000000 : 0;
@@ -905,7 +856,7 @@ net::StatsSnapshot ServingEngine::snapshot() const {
     row.rejected_all_down =
         shard->rejected_all_down.load(std::memory_order_relaxed);
     row.rejected_admission =
-        shard->overload_rejected.load(std::memory_order_relaxed);
+        shard->rejected_admission.load(std::memory_order_relaxed);
     row.rejected_drop = shard->rejected_drop.load(std::memory_order_relaxed);
     row.ticks = shard->ticks.load(std::memory_order_relaxed);
     row.batches = shard->batches.load(std::memory_order_relaxed);
@@ -917,10 +868,15 @@ net::StatsSnapshot ServingEngine::snapshot() const {
     row.backlog = shard->backlog.load(std::memory_order_relaxed);
     row.servers_down = shard->down.load(std::memory_order_relaxed);
     row.step_ns = shard->step_ns.load(std::memory_order_relaxed);
+    row.sink_orphans = shard->sink_orphans.load(std::memory_order_relaxed);
+    row.crashes = shard->crashes.load(std::memory_order_relaxed);
+    row.recoveries = shard->recoveries.load(std::memory_order_relaxed);
     out.shards.push_back(row);
 
     shard->latency.merge_into(out.latency);
     shard->queue_wait.merge_into(out.queue_wait);
+    shard->step_hist.merge_into(out.step_ns);
+    shard->batch_hist.merge_into(out.batch_size);
 
     for (std::size_t s = 0; s < shard->server_span; ++s) {
       global_backlogs.push_back(
@@ -948,8 +904,6 @@ net::StatsSnapshot ServingEngine::snapshot() const {
       out.safe_violated_level = level.level;
     }
   }
-  safe_ratio_gauge.set(out.safe_worst_ratio);
-
   // Edge-triggered journal entries: one event per flip of the invariant,
   // not one per scrape.  Ratio travels in parts-per-million (the journal
   // carries integers).
@@ -972,6 +926,8 @@ net::StatsSnapshot ServingEngine::snapshot() const {
       impl_->migration_bytes_in.load(std::memory_order_relaxed);
   out.repair.migration_bytes_out =
       impl_->migration_bytes_out.load(std::memory_order_relaxed);
+  out.repair.slices_corrupt =
+      impl_->slices_corrupt.load(std::memory_order_relaxed);
 
   // Health plane (v5): trailing-window deltas, one clock read for both
   // aggregators so their spans agree.
@@ -1012,6 +968,10 @@ void ServingEngine::note_migration_in(std::uint64_t bytes) {
 void ServingEngine::note_migration_out(std::uint64_t bytes) {
   impl_->migrations_out.fetch_add(1, std::memory_order_relaxed);
   impl_->migration_bytes_out.fetch_add(bytes, std::memory_order_relaxed);
+}
+
+void ServingEngine::note_corrupt_slice() {
+  impl_->slices_corrupt.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::size_t ServingEngine::shard_count() const { return impl_->shards.size(); }

@@ -86,27 +86,6 @@ struct EngineConfig {
   std::uint32_t backend_id = 0;
 };
 
-struct EngineStats {
-  std::uint64_t submitted = 0;
-  /// Served OK.
-  std::uint64_t completed = 0;
-  /// Rejected by the policy's bounded queues (the paper's rejection rule).
-  std::uint64_t rejected = 0;
-  /// Cause breakdown of `rejected` (queue_full + all_down + drop <=
-  /// rejected; the remainder is cause-unattributed).
-  std::uint64_t rejected_queue_full = 0;
-  std::uint64_t rejected_all_down = 0;
-  std::uint64_t rejected_drop = 0;
-  /// Rejected at admission because the shard's waiting room was full.
-  std::uint64_t overload_rejected = 0;
-  std::uint64_t ticks = 0;
-  std::uint64_t crashes = 0;
-  std::uint64_t recoveries = 0;
-  /// Requests currently queued inside the balancers.
-  std::uint64_t backlog = 0;
-  std::size_t servers_down = 0;
-};
-
 /// One answered request, delivered to the ResponseFn from a shard worker
 /// thread (thread-safe delivery is the callback's responsibility).
 struct EngineResponse {
@@ -176,12 +155,9 @@ class ServingEngine {
   void submit_batch(const SubmitItem* items, std::size_t count,
                     std::vector<std::size_t>& rejected);
 
-  /// Aggregated live counters across all shards.
-  EngineStats stats() const;
-
-  /// Full metrics snapshot for the STATS wire channel: per-shard rows,
-  /// merged wire-to-response latency, and the Def 3.2 safe-set monitor over
-  /// the merged backlog vector.  Lock-free — reads each shard's atomics
+  /// Full metrics snapshot for the STATS wire channel: per-shard rows
+  /// (snapshot().totals() is the engine-wide view), merged histograms, and
+  /// the Def 3.2 safe-set monitor over the merged backlog vector.  Lock-free — reads each shard's atomics
   /// without stopping its worker — so a row is internally consistent only
   /// up to in-flight ticks.  Safe to call from any thread at any time.
   net::StatsSnapshot snapshot() const;
@@ -199,6 +175,8 @@ class ServingEngine {
   /// in snapshot().repair.
   void note_migration_in(std::uint64_t bytes);
   void note_migration_out(std::uint64_t bytes);
+  /// One inbound migration slice failed verification.
+  void note_corrupt_slice();
 
   /// The chunk a key maps to and the shard that owns it (tests/tools).
   core::ChunkId chunk_of(store::KeyId key) const;

@@ -22,7 +22,6 @@
 
 #include "net/buffer_pool.hpp"
 #include "obs/journal.hpp"
-#include "obs/obs.hpp"
 
 namespace rlb::net {
 
@@ -141,7 +140,7 @@ struct NetServer::Impl {
 
   bool loop_open(std::size_t slot) const { return conns[slot]->fd >= 0; }
 
-  void close_conn(std::size_t slot, bool error) {
+  void close_conn(std::size_t slot) {
     Conn& conn = *conns[slot];
     if (conn.fd < 0) return;
     std::int64_t dropped = 0;
@@ -164,14 +163,9 @@ struct NetServer::Impl {
     conn.decoder.reset();
     free_slots.push_back(slot);
     stats.connections_closed.fetch_add(1, std::memory_order_relaxed);
-    // Protocol errors are counted at their detection sites; `error` only
-    // labels the trace event.
-    RLB_TRACE_EVENT(obs::EventKind::kNet,
-                    error ? "net.close_error" : "net.close", slot, conn.gen);
   }
 
   void accept_ready() {
-    static obs::Counter accept_counter("net.accepted");
     for (;;) {
       const int fd = ::accept(listen_fd, nullptr, nullptr);
       if (fd < 0) {
@@ -205,12 +199,10 @@ struct NetServer::Impl {
       ev.events = EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET;
       ev.data.u64 = static_cast<std::uint64_t>(slot);
       if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-        close_conn(slot, /*error=*/true);
+        close_conn(slot);
         continue;
       }
       stats.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-      accept_counter.add();
-      RLB_TRACE_EVENT(obs::EventKind::kNet, "net.accept", slot, conn.gen);
     }
   }
 
@@ -223,9 +215,6 @@ struct NetServer::Impl {
   /// Drain readable bytes, reassemble frames, dispatch requests.  Returns
   /// false when the connection must close (EOF, error, protocol violation).
   bool read_ready(std::size_t slot) {
-    static obs::Counter request_counter("net.requests");
-    static obs::Counter protocol_error_counter("net.protocol_errors");
-    static obs::Histogram decode_hist("net.decode_ns");
     Conn& conn = *conns[slot];
     bool keep = true;
     std::uint8_t buffer[16384];
@@ -243,12 +232,7 @@ struct NetServer::Impl {
       }
       stats.bytes_in.fetch_add(static_cast<std::uint64_t>(n),
                                std::memory_order_relaxed);
-      obs::ObsTimer decode_timer("net.decode",
-                                 obs::enabled() ? &decode_hist : nullptr,
-                                 slot);
       if (!conn.decoder.feed(buffer, static_cast<std::size_t>(n))) {
-        protocol_error_counter.add();
-        RLB_TRACE_EVENT(obs::EventKind::kNet, "net.bad_frame", slot, 0);
         stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
         keep = false;
         break;
@@ -265,7 +249,6 @@ struct NetServer::Impl {
                            stats_request, events_request);
         if (decoded == Decoded::kRequest) {
           stats.requests_decoded.fetch_add(1, std::memory_order_relaxed);
-          request_counter.add();
           if (on_batch) {
             batch.push_back(ServerRequest{token, request});
           } else {
@@ -278,42 +261,28 @@ struct NetServer::Impl {
         // is preserved for the handler.
         flush_batch();
         if (decoded == Decoded::kStats && on_stats) {
-          static obs::Counter stats_counter("net.stats_requests");
           stats.stats_requests.fetch_add(1, std::memory_order_relaxed);
-          stats_counter.add();
-          RLB_TRACE_EVENT(obs::EventKind::kNet, "net.stats", slot,
-                          stats_request.flags);
           on_stats(token, stats_request);
           continue;
         }
         if (decoded == Decoded::kEvents && on_events) {
-          static obs::Counter events_counter("net.events_requests");
           stats.events_requests.fetch_add(1, std::memory_order_relaxed);
-          events_counter.add();
-          RLB_TRACE_EVENT(obs::EventKind::kNet, "net.events", slot,
-                          events_request.cursor);
           on_events(token, events_request);
           continue;
         }
         if (decoded == Decoded::kMigrate && on_migrate) {
-          static obs::Counter migrate_counter("net.migrate_requests");
           MigrateMsg migrate;
           if (!decode_migrate(payload.data, payload.size, migrate)) {
-            protocol_error_counter.add();
             stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
             keep = false;
             break;
           }
-          migrate_counter.add();
-          RLB_TRACE_EVENT(obs::EventKind::kNet, "net.migrate", slot,
-                          migrate.chunk);
           on_migrate(token, migrate);
           continue;
         }
         if (decoded == Decoded::kMigrateData && on_migrate_data) {
           MigrateDataMsg data;
           if (!decode_migrate_data(payload.data, payload.size, data)) {
-            protocol_error_counter.add();
             stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
             keep = false;
             break;
@@ -323,15 +292,11 @@ struct NetServer::Impl {
         }
         // Clients may only send REQUEST frames (plus STATS/EVENTS/MIGRATE
         // when the daemon installed an admin handler).
-        protocol_error_counter.add();
-        RLB_TRACE_EVENT(obs::EventKind::kNet, "net.bad_message", slot,
-                        payload.size == 0 ? 0 : payload.data[0]);
         stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
         keep = false;
         break;
       }
       if (keep && conn.decoder.error()) {
-        protocol_error_counter.add();
         stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
         keep = false;
       }
@@ -391,7 +356,6 @@ struct NetServer::Impl {
   /// enforce the slow-consumer cap, then flush.  Returns false when the
   /// connection must close.
   bool service_outbound(std::size_t slot) {
-    static obs::Counter slow_consumer_counter("net.slow_consumer");
     Conn& conn = *conns[slot];
     if (conn.stage_dirty.exchange(false, std::memory_order_acq_rel)) {
       std::lock_guard lock(conn.stage_mu);
@@ -412,9 +376,6 @@ struct NetServer::Impl {
         (conn.front.size() - conn.front_off) + conn.back.size();
     if (config.max_outbound_bytes > 0 && queued > config.max_outbound_bytes) {
       stats.slow_consumer_drops.fetch_add(1, std::memory_order_relaxed);
-      slow_consumer_counter.add();
-      RLB_TRACE_EVENT(obs::EventKind::kNet, "net.slow_consumer", slot,
-                      static_cast<std::uint64_t>(queued));
       obs::Journal::instance().append(obs::JournalType::kSlowConsumer,
                                       static_cast<std::uint64_t>(slot),
                                       static_cast<std::uint64_t>(queued));
@@ -430,7 +391,7 @@ struct NetServer::Impl {
       Conn& conn = *conns[slot];
       if (conn.fd < 0) continue;
       if (!conn.stage_dirty.load(std::memory_order_relaxed)) continue;
-      if (!service_outbound(slot)) close_conn(slot, /*error=*/false);
+      if (!service_outbound(slot)) close_conn(slot);
     }
   }
 
@@ -461,7 +422,7 @@ struct NetServer::Impl {
     bool ok = !had_error;
     if (ok && writable) ok = service_outbound(slot);
     if (ok && readable) ok = read_ready(slot);
-    if (!ok) close_conn(slot, /*error=*/false);
+    if (!ok) close_conn(slot);
   }
 
   void run_loop() {
@@ -502,7 +463,7 @@ struct NetServer::Impl {
 
   void close_all() {
     for (std::size_t slot = 0; slot < conns.size(); ++slot) {
-      if (loop_open(slot)) close_conn(slot, /*error=*/false);
+      if (loop_open(slot)) close_conn(slot);
     }
   }
 };
@@ -630,7 +591,6 @@ void NetServer::stop(std::uint64_t flush_timeout_ms) {
 
 bool NetServer::send_response(std::uint64_t conn_token,
                               const ResponseMsg& response) {
-  static obs::Counter response_counter("net.responses");
   const std::size_t slot = static_cast<std::size_t>(conn_token & 0xffffffffu);
   const auto gen = static_cast<std::uint32_t>(conn_token >> 32);
   if (slot >= impl_->conns.size()) return false;
@@ -645,7 +605,6 @@ bool NetServer::send_response(std::uint64_t conn_token,
         std::memory_order_relaxed);
   }
   impl_->stats.responses_sent.fetch_add(1, std::memory_order_relaxed);
-  response_counter.add();
   // Only the clean -> dirty edge needs a wake (the loop re-arms the flag
   // before splicing), and only when the loop is actually blocked — an
   // awake loop re-scans dirty flags before its next sleep (seq_cst

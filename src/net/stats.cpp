@@ -104,36 +104,18 @@ class Cursor {
   std::size_t pos_ = 0;
 };
 
-void put_shard(std::vector<std::uint8_t>& out, const ShardStats& s) {
-  put_u32(out, s.shard);
-  put_u64(out, s.submitted);
-  put_u64(out, s.completed);
-  put_u64(out, s.rejected_queue_full);
-  put_u64(out, s.rejected_all_down);
-  put_u64(out, s.rejected_admission);
-  put_u64(out, s.rejected_drop);
-  put_u64(out, s.errors);
-  put_u64(out, s.ticks);
-  put_u64(out, s.batches);
-  put_u64(out, s.batched_chunks);
-  put_u64(out, s.max_batch);
-  put_u64(out, s.inbound_depth);
-  put_u64(out, s.waiting_depth);
-  put_u64(out, s.inflight);
-  put_u64(out, s.backlog);
-  put_u64(out, s.servers_down);
-  put_u64(out, s.step_ns);
+template <typename Block, std::size_t N>
+void put_fields(std::vector<std::uint8_t>& out, const Block& block,
+                const FieldDesc<Block> (&fields)[N]) {
+  for (const FieldDesc<Block>& f : fields) put_u64(out, block.*f.member);
 }
 
-bool get_shard(Cursor& c, ShardStats& s) {
-  return c.u32(s.shard) && c.u64(s.submitted) && c.u64(s.completed) &&
-         c.u64(s.rejected_queue_full) && c.u64(s.rejected_all_down) &&
-         c.u64(s.rejected_admission) && c.u64(s.rejected_drop) &&
-         c.u64(s.errors) && c.u64(s.ticks) &&
-         c.u64(s.batches) && c.u64(s.batched_chunks) && c.u64(s.max_batch) &&
-         c.u64(s.inbound_depth) && c.u64(s.waiting_depth) &&
-         c.u64(s.inflight) && c.u64(s.backlog) && c.u64(s.servers_down) &&
-         c.u64(s.step_ns);
+template <typename Block, std::size_t N>
+bool get_fields(Cursor& c, Block& block, const FieldDesc<Block> (&fields)[N]) {
+  for (const FieldDesc<Block>& f : fields) {
+    if (!c.u64(block.*f.member)) return false;
+  }
+  return true;
 }
 
 /// A histogram travels as count, sum, max, then the nonzero span of its
@@ -180,25 +162,7 @@ const char* to_string(NodeRole role) noexcept {
 
 ShardStats StatsSnapshot::totals() const {
   ShardStats t;
-  for (const ShardStats& s : shards) {
-    t.submitted += s.submitted;
-    t.completed += s.completed;
-    t.rejected_queue_full += s.rejected_queue_full;
-    t.rejected_all_down += s.rejected_all_down;
-    t.rejected_admission += s.rejected_admission;
-    t.rejected_drop += s.rejected_drop;
-    t.errors += s.errors;
-    t.ticks += s.ticks;
-    t.batches += s.batches;
-    t.batched_chunks += s.batched_chunks;
-    t.max_batch = s.max_batch > t.max_batch ? s.max_batch : t.max_batch;
-    t.inbound_depth += s.inbound_depth;
-    t.waiting_depth += s.waiting_depth;
-    t.inflight += s.inflight;
-    t.backlog += s.backlog;
-    t.servers_down += s.servers_down;
-    t.step_ns += s.step_ns;
-  }
+  for (const ShardStats& s : shards) merge_fields(t, s, kShardFields);
   return t;
 }
 
@@ -217,11 +181,13 @@ void encode_stats_payload(const StatsSnapshot& snapshot,
   put_u32(out, snapshot.shard_count);
 
   put_u32(out, static_cast<std::uint32_t>(snapshot.shards.size()));
-  for (const ShardStats& s : snapshot.shards) put_shard(out, s);
-
-  put_hist(out, snapshot.latency);
-  put_hist(out, snapshot.hop_rtt);
-  put_hist(out, snapshot.queue_wait);
+  for (const ShardStats& s : snapshot.shards) {
+    put_u32(out, s.shard);
+    put_fields(out, s, kShardFields);
+  }
+  for (const HistogramDesc& h : kHistogramFields) {
+    put_hist(out, snapshot.*h.member);
+  }
 
   put_u32(out, static_cast<std::uint32_t>(snapshot.safe_set.size()));
   for (const SafeSetLevelStats& level : snapshot.safe_set) {
@@ -233,26 +199,16 @@ void encode_stats_payload(const StatsSnapshot& snapshot,
   put_f64(out, snapshot.safe_worst_ratio);
   put_u32(out, snapshot.safe_violated_level);
 
-  // v4: placement epoch + repair counters.
   put_u64(out, snapshot.placement_epoch);
-  put_u64(out, snapshot.repair.migrations_done);
-  put_u64(out, snapshot.repair.migrations_failed);
-  put_u64(out, snapshot.repair.migrations_inflight);
-  put_u64(out, snapshot.repair.chunks_pending);
-  put_u64(out, snapshot.repair.bytes_sent);
-  put_u64(out, snapshot.repair.migrations_in);
-  put_u64(out, snapshot.repair.migrations_out);
-  put_u64(out, snapshot.repair.migration_bytes_in);
-  put_u64(out, snapshot.repair.migration_bytes_out);
+  put_fields(out, snapshot.repair, kRepairFields);
 
-  // v5: windowed deltas + active alerts (health plane).
   put_u64(out, snapshot.window_span_ms);
   put_u64(out, snapshot.win_submitted);
   put_u64(out, snapshot.win_completed);
   put_u64(out, snapshot.win_rejected);
-  put_hist(out, snapshot.win_latency);
-  put_hist(out, snapshot.win_hop_rtt);
-  put_hist(out, snapshot.win_queue_wait);
+  for (const HistogramDesc& h : kWindowHistogramFields) {
+    put_hist(out, snapshot.*h.member);
+  }
   put_u32(out, static_cast<std::uint32_t>(snapshot.active_alerts.size()));
   for (const std::string& alert : snapshot.active_alerts) {
     put_string(out, alert);
@@ -285,12 +241,10 @@ bool decode_stats_payload(const std::uint8_t* data, std::size_t size,
   if (shard_rows > kMaxFramePayload / sizeof(ShardStats)) return false;
   out.shards.assign(shard_rows, ShardStats{});
   for (ShardStats& s : out.shards) {
-    if (!get_shard(c, s)) return false;
+    if (!c.u32(s.shard) || !get_fields(c, s, kShardFields)) return false;
   }
-
-  if (!get_hist(c, out.latency) || !get_hist(c, out.hop_rtt) ||
-      !get_hist(c, out.queue_wait)) {
-    return false;
+  for (const HistogramDesc& h : kHistogramFields) {
+    if (!get_hist(c, out.*h.member)) return false;
   }
 
   std::uint32_t levels = 0;
@@ -307,24 +261,17 @@ bool decode_stats_payload(const std::uint8_t* data, std::size_t size,
     return false;
   }
 
-  if (!c.u64(out.placement_epoch) || !c.u64(out.repair.migrations_done) ||
-      !c.u64(out.repair.migrations_failed) ||
-      !c.u64(out.repair.migrations_inflight) ||
-      !c.u64(out.repair.chunks_pending) || !c.u64(out.repair.bytes_sent) ||
-      !c.u64(out.repair.migrations_in) || !c.u64(out.repair.migrations_out) ||
-      !c.u64(out.repair.migration_bytes_in) ||
-      !c.u64(out.repair.migration_bytes_out)) {
+  if (!c.u64(out.placement_epoch) ||
+      !get_fields(c, out.repair, kRepairFields)) {
     return false;
   }
 
-  // v5: windowed deltas + active alerts (health plane).
   if (!c.u64(out.window_span_ms) || !c.u64(out.win_submitted) ||
       !c.u64(out.win_completed) || !c.u64(out.win_rejected)) {
     return false;
   }
-  if (!get_hist(c, out.win_latency) || !get_hist(c, out.win_hop_rtt) ||
-      !get_hist(c, out.win_queue_wait)) {
-    return false;
+  for (const HistogramDesc& h : kWindowHistogramFields) {
+    if (!get_hist(c, out.*h.member)) return false;
   }
   std::uint32_t alerts = 0;
   if (!c.u32(alerts)) return false;
@@ -365,15 +312,13 @@ void append_fmt(std::string& out, const char* fmt, ...) {
   if (n > 0) out.append(buffer, static_cast<std::size_t>(n));
 }
 
-void prom_shard_counter(std::string& out, const StatsSnapshot& snapshot,
-                        const char* name, const char* help,
-                        std::uint64_t ShardStats::* field,
-                        const char* type = "counter") {
-  append_fmt(out, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, type);
-  for (const ShardStats& s : snapshot.shards) {
-    append_fmt(out, "%s{shard=\"%" PRIu32 "\"} %" PRIu64 "\n", name, s.shard,
-               s.*field);
-  }
+void prom_family(std::string& out, const char* family, const char* help,
+                 const char* type) {
+  append_fmt(out, "# HELP %s %s\n# TYPE %s %s\n", family, help, family, type);
+}
+
+const char* type_name(MetricKind kind) {
+  return kind == MetricKind::kGauge ? "gauge" : "counter";
 }
 
 /// Cumulative counts at the power-of-two edges 2..2^32.  Each edge is a
@@ -381,9 +326,10 @@ void prom_shard_counter(std::string& out, const StatsSnapshot& snapshot,
 /// The sums saturate and +Inf is at least the last edge's count, so the
 /// series stays monotonic when a torn read left `count` behind its
 /// buckets (or a decoded payload's counts disagree).
-void prom_histogram(std::string& out, const char* name, const char* help,
+void prom_histogram(std::string& out, const HistogramDesc& desc,
                     const obs::LogHistogram& h) {
-  append_fmt(out, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name);
+  const char* name = desc.family;
+  prom_family(out, name, desc.help, "histogram");
   std::uint64_t cumulative = 0;
   std::size_t i = 0;
   for (unsigned k = 1; k <= obs::hist::kTopBits; ++k) {
@@ -400,15 +346,18 @@ void prom_histogram(std::string& out, const char* name, const char* help,
   append_fmt(out, "%s_count %" PRIu64 "\n", name, total);
 }
 
-/// `"<name>_count":..,"<name>_p50_us":..,"<name>_p99_us":..,
-/// "<name>_max_us":..,` for one histogram.
-void json_histogram(std::string& out, const char* name,
+/// `"<key>_count":..,"<key>_p50<u>":..,"<key>_p99<u>":..,"<key>_max<u>":..,`
+/// for one histogram, <u> being `_<unit>` (nothing for a unitless one).
+void json_histogram(std::string& out, const HistogramDesc& desc,
                     const obs::LogHistogram& h) {
+  const std::string unit = *desc.unit ? std::string("_") + desc.unit : "";
+  const char* key = desc.key;
+  const char* u = unit.c_str();
   append_fmt(out,
-             "\"%s_count\":%" PRIu64 ",\"%s_p50_us\":%" PRIu64
-             ",\"%s_p99_us\":%" PRIu64 ",\"%s_max_us\":%" PRIu64 ",",
-             name, h.count, name, h.quantile(0.5), name, h.quantile(0.99),
-             name, h.max);
+             "\"%s_count\":%" PRIu64 ",\"%s_p50%s\":%" PRIu64
+             ",\"%s_p99%s\":%" PRIu64 ",\"%s_max%s\":%" PRIu64 ",",
+             key, h.count, key, u, h.quantile(0.5), key, u, h.quantile(0.99),
+             key, u, h.max);
 }
 
 }  // namespace
@@ -419,6 +368,7 @@ std::string render_prometheus(const StatsSnapshot& snapshot) {
   out += "# HELP rlb_up Daemon liveness.\n# TYPE rlb_up gauge\nrlb_up 1\n";
   out += "# TYPE rlb_uptime_ms gauge\n";
   append_fmt(out, "rlb_uptime_ms %" PRIu64 "\n", snapshot.uptime_ms);
+  out += "# TYPE rlb_engine_info gauge\n";
   append_fmt(out,
              "rlb_engine_info{policy=\"%s\",role=\"%s\",backend_id=\"%" PRIu32
              "\",servers=\"%" PRIu32
@@ -429,64 +379,16 @@ std::string render_prometheus(const StatsSnapshot& snapshot) {
              snapshot.processing_rate, snapshot.queue_capacity,
              snapshot.shard_count);
 
-  prom_shard_counter(out, snapshot, "rlb_engine_submitted_total",
-                     "Requests accepted into a shard's inbound queue.",
-                     &ShardStats::submitted);
-  prom_shard_counter(out, snapshot, "rlb_engine_completed_total",
-                     "Requests served.", &ShardStats::completed);
-  prom_shard_counter(out, snapshot, "rlb_engine_rejected_queue_full_total",
-                     "Rejections: bounded server queue full (q-bound rule).",
-                     &ShardStats::rejected_queue_full);
-  prom_shard_counter(out, snapshot, "rlb_engine_rejected_all_down_total",
-                     "Rejections: every replica of the chunk was down.",
-                     &ShardStats::rejected_all_down);
-  prom_shard_counter(out, snapshot, "rlb_engine_rejected_admission_total",
-                     "Rejections: shard waiting room overflow.",
-                     &ShardStats::rejected_admission);
-  prom_shard_counter(out, snapshot, "rlb_engine_rejected_drop_total",
-                     "Rejections: dropped in a queue dump or drain flush.",
-                     &ShardStats::rejected_drop);
-  prom_shard_counter(out, snapshot, "rlb_engine_errors_total",
-                     "Requests answered kError (e.g. shutdown drain).",
-                     &ShardStats::errors);
-  prom_shard_counter(out, snapshot, "rlb_engine_ticks_total",
-                     "Worker loop iterations.", &ShardStats::ticks);
-  prom_shard_counter(out, snapshot, "rlb_engine_batches_total",
-                     "Ticks that stepped a non-empty micro-batch.",
-                     &ShardStats::batches);
-  prom_shard_counter(out, snapshot, "rlb_engine_batched_chunks_total",
-                     "Distinct chunks stepped, summed over batches.",
-                     &ShardStats::batched_chunks);
-  prom_shard_counter(out, snapshot, "rlb_engine_step_ns_total",
-                     "Nanoseconds spent inside balancer step().",
-                     &ShardStats::step_ns);
-  prom_shard_counter(out, snapshot, "rlb_engine_inbound_depth",
-                     "Requests queued ahead of the shard worker.",
-                     &ShardStats::inbound_depth, "gauge");
-  prom_shard_counter(out, snapshot, "rlb_engine_waiting_depth",
-                     "Waiting-room occupancy.", &ShardStats::waiting_depth,
-                     "gauge");
-  prom_shard_counter(out, snapshot, "rlb_engine_inflight",
-                     "Requests inside the balancer (queued on servers).",
-                     &ShardStats::inflight, "gauge");
-  prom_shard_counter(out, snapshot, "rlb_engine_backlog",
-                     "Sum of server backlogs in the shard.",
-                     &ShardStats::backlog, "gauge");
-  prom_shard_counter(out, snapshot, "rlb_engine_servers_down",
-                     "Servers currently marked down.",
-                     &ShardStats::servers_down, "gauge");
-
-  prom_histogram(out, "rlb_engine_latency_us",
-                 "Wire-to-response latency (microseconds).",
-                 snapshot.latency);
-  prom_histogram(out, "rlb_router_hop_rtt_us",
-                 "Router-side upstream hop round trip (microseconds), one "
-                 "sample per forward attempt.",
-                 snapshot.hop_rtt);
-  prom_histogram(out, "rlb_engine_queue_wait_us",
-                 "Submit-to-drain-tick wait inside the engine's inbound "
-                 "queue + waiting room (microseconds).",
-                 snapshot.queue_wait);
+  for (const FieldDesc<ShardStats>& f : kShardFields) {
+    prom_family(out, f.family, f.help, type_name(f.kind));
+    for (const ShardStats& s : snapshot.shards) {
+      append_fmt(out, "%s{shard=\"%" PRIu32 "\"} %" PRIu64 "\n", f.family,
+                 s.shard, s.*f.member);
+    }
+  }
+  for (const HistogramDesc& h : kHistogramFields) {
+    prom_histogram(out, h, snapshot.*h.member);
+  }
 
   out +=
       "# HELP rlb_safe_set_observed Servers with backlog > j (Def 3.2).\n"
@@ -520,33 +422,10 @@ std::string render_prometheus(const StatsSnapshot& snapshot) {
       "cutover yet).\n# TYPE rlb_placement_epoch gauge\n";
   append_fmt(out, "rlb_placement_epoch %" PRIu64 "\n",
              snapshot.placement_epoch);
-  out += "# TYPE rlb_repair_migrations_done_total counter\n";
-  append_fmt(out, "rlb_repair_migrations_done_total %" PRIu64 "\n",
-             snapshot.repair.migrations_done);
-  out += "# TYPE rlb_repair_migrations_failed_total counter\n";
-  append_fmt(out, "rlb_repair_migrations_failed_total %" PRIu64 "\n",
-             snapshot.repair.migrations_failed);
-  out += "# TYPE rlb_repair_migrations_inflight gauge\n";
-  append_fmt(out, "rlb_repair_migrations_inflight %" PRIu64 "\n",
-             snapshot.repair.migrations_inflight);
-  out += "# TYPE rlb_repair_chunks_pending gauge\n";
-  append_fmt(out, "rlb_repair_chunks_pending %" PRIu64 "\n",
-             snapshot.repair.chunks_pending);
-  out += "# TYPE rlb_repair_bytes_sent_total counter\n";
-  append_fmt(out, "rlb_repair_bytes_sent_total %" PRIu64 "\n",
-             snapshot.repair.bytes_sent);
-  out += "# TYPE rlb_migrations_in_total counter\n";
-  append_fmt(out, "rlb_migrations_in_total %" PRIu64 "\n",
-             snapshot.repair.migrations_in);
-  out += "# TYPE rlb_migrations_out_total counter\n";
-  append_fmt(out, "rlb_migrations_out_total %" PRIu64 "\n",
-             snapshot.repair.migrations_out);
-  out += "# TYPE rlb_migration_bytes_in_total counter\n";
-  append_fmt(out, "rlb_migration_bytes_in_total %" PRIu64 "\n",
-             snapshot.repair.migration_bytes_in);
-  out += "# TYPE rlb_migration_bytes_out_total counter\n";
-  append_fmt(out, "rlb_migration_bytes_out_total %" PRIu64 "\n",
-             snapshot.repair.migration_bytes_out);
+  for (const FieldDesc<RepairStats>& f : kRepairFields) {
+    prom_family(out, f.family, f.help, type_name(f.kind));
+    append_fmt(out, "%s %" PRIu64 "\n", f.family, snapshot.repair.*f.member);
+  }
 
   out +=
       "# HELP rlb_win_span_ms Wall time covered by the windowed deltas "
@@ -558,17 +437,9 @@ std::string render_prometheus(const StatsSnapshot& snapshot) {
   append_fmt(out, "rlb_win_completed %" PRIu64 "\n", snapshot.win_completed);
   out += "# TYPE rlb_win_rejected gauge\n";
   append_fmt(out, "rlb_win_rejected %" PRIu64 "\n", snapshot.win_rejected);
-  prom_histogram(out, "rlb_win_latency_us",
-                 "Wire-to-response latency over the trailing window "
-                 "(microseconds).",
-                 snapshot.win_latency);
-  prom_histogram(out, "rlb_win_hop_rtt_us",
-                 "Upstream hop round trip over the trailing window "
-                 "(microseconds).",
-                 snapshot.win_hop_rtt);
-  prom_histogram(out, "rlb_win_queue_wait_us",
-                 "Queue wait over the trailing window (microseconds).",
-                 snapshot.win_queue_wait);
+  for (const HistogramDesc& h : kWindowHistogramFields) {
+    prom_histogram(out, h, snapshot.*h.member);
+  }
 
   out +=
       "# HELP rlb_alert_active Watchdog alert currently raised "
@@ -580,7 +451,6 @@ std::string render_prometheus(const StatsSnapshot& snapshot) {
 }
 
 std::string render_json(const StatsSnapshot& snapshot) {
-  const ShardStats t = snapshot.totals();
   std::string out = "{";
   append_fmt(out, "\"uptime_ms\":%" PRIu64 ",", snapshot.uptime_ms);
   append_fmt(out, "\"role\":\"%s\",\"backend_id\":%" PRIu32 ",",
@@ -588,24 +458,11 @@ std::string render_json(const StatsSnapshot& snapshot) {
   append_fmt(out, "\"policy\":\"%s\",", snapshot.policy.c_str());
   append_fmt(out, "\"servers\":%" PRIu32 ",\"shards\":%" PRIu32 ",",
              snapshot.servers, snapshot.shard_count);
-  append_fmt(out,
-             "\"submitted\":%" PRIu64 ",\"completed\":%" PRIu64
-             ",\"rejected_queue_full\":%" PRIu64
-             ",\"rejected_all_down\":%" PRIu64
-             ",\"rejected_admission\":%" PRIu64 ",\"rejected_drop\":%" PRIu64
-             ",\"errors\":%" PRIu64 ",",
-             t.submitted, t.completed, t.rejected_queue_full,
-             t.rejected_all_down, t.rejected_admission, t.rejected_drop,
-             t.errors);
-  append_fmt(out,
-             "\"inbound_depth\":%" PRIu64 ",\"waiting_depth\":%" PRIu64
-             ",\"inflight\":%" PRIu64 ",\"backlog\":%" PRIu64
-             ",\"servers_down\":%" PRIu64 ",",
-             t.inbound_depth, t.waiting_depth, t.inflight, t.backlog,
-             t.servers_down);
-  json_histogram(out, "latency", snapshot.latency);
-  json_histogram(out, "hop_rtt", snapshot.hop_rtt);
-  json_histogram(out, "queue_wait", snapshot.queue_wait);
+  out += json_fields(snapshot.totals(), kShardFields);
+  out += ',';
+  for (const HistogramDesc& h : kHistogramFields) {
+    json_histogram(out, h, snapshot.*h.member);
+  }
   out += "\"safe_set\":[";
   for (std::size_t i = 0; i < snapshot.safe_set.size(); ++i) {
     const SafeSetLevelStats& level = snapshot.safe_set[i];
@@ -619,24 +476,11 @@ std::string render_json(const StatsSnapshot& snapshot) {
   append_fmt(out, "\"safe_worst_ratio\":%g,\"safe_violated_level\":%" PRIu32
              ",",
              snapshot.safe_worst_ratio, snapshot.safe_violated_level);
+  append_fmt(out, "\"placement_epoch\":%" PRIu64 ",\"repair\":{",
+             snapshot.placement_epoch);
+  out += json_fields(snapshot.repair, kRepairFields);
   append_fmt(out,
-             "\"placement_epoch\":%" PRIu64
-             ",\"repair\":{\"migrations_done\":%" PRIu64
-             ",\"migrations_failed\":%" PRIu64
-             ",\"migrations_inflight\":%" PRIu64
-             ",\"chunks_pending\":%" PRIu64 ",\"bytes_sent\":%" PRIu64
-             ",\"migrations_in\":%" PRIu64 ",\"migrations_out\":%" PRIu64
-             ",\"migration_bytes_in\":%" PRIu64
-             ",\"migration_bytes_out\":%" PRIu64 "}",
-             snapshot.placement_epoch, snapshot.repair.migrations_done,
-             snapshot.repair.migrations_failed,
-             snapshot.repair.migrations_inflight,
-             snapshot.repair.chunks_pending, snapshot.repair.bytes_sent,
-             snapshot.repair.migrations_in, snapshot.repair.migrations_out,
-             snapshot.repair.migration_bytes_in,
-             snapshot.repair.migration_bytes_out);
-  append_fmt(out,
-             ",\"window\":{\"span_ms\":%" PRIu64 ",\"submitted\":%" PRIu64
+             "},\"window\":{\"span_ms\":%" PRIu64 ",\"submitted\":%" PRIu64
              ",\"completed\":%" PRIu64 ",\"rejected\":%" PRIu64
              ",\"latency_p50_us\":%" PRIu64 ",\"latency_p99_us\":%" PRIu64
              ",\"hop_rtt_p99_us\":%" PRIu64 ",\"queue_wait_p99_us\":%" PRIu64

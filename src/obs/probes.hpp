@@ -124,10 +124,6 @@ class Counter {
   explicit Counter(const char* name)
       : id_(ProbeRegistry::instance().register_probe(name,
                                                      ProbeKind::kCounter)) {}
-  /// Dynamic-name form (e.g. per-shard "engine.shard3.ticks").
-  explicit Counter(const std::string& name)
-      : id_(ProbeRegistry::instance().register_probe(name,
-                                                     ProbeKind::kCounter)) {}
   void add(std::uint64_t n = 1) {
 #if !defined(RLB_OBS_DISABLED)
     if (enabled()) {
@@ -148,9 +144,6 @@ class Gauge {
   explicit Gauge(const char* name)
       : id_(ProbeRegistry::instance().register_probe(name,
                                                      ProbeKind::kGauge)) {}
-  explicit Gauge(const std::string& name)
-      : id_(ProbeRegistry::instance().register_probe(name,
-                                                     ProbeKind::kGauge)) {}
   void set(double value) {
 #if !defined(RLB_OBS_DISABLED)
     if (enabled()) ProbeRegistry::instance().record(id_, value, false);
@@ -167,9 +160,6 @@ class Gauge {
 class Histogram {
  public:
   explicit Histogram(const char* name)
-      : id_(ProbeRegistry::instance().register_probe(
-            name, ProbeKind::kHistogram)) {}
-  explicit Histogram(const std::string& name)
       : id_(ProbeRegistry::instance().register_probe(
             name, ProbeKind::kHistogram)) {}
   void observe(double value) {

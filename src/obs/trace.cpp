@@ -40,8 +40,6 @@ constexpr KindName kKindNames[] = {
     {EventKind::kAssignFail, "assign-fail"},
     {EventKind::kMigration, "migration"},
     {EventKind::kFault, "fault"},
-    {EventKind::kNet, "net"},
-    {EventKind::kEngine, "engine"},
     {EventKind::kScope, "scope"},
     {EventKind::kCounter, "counter"},
 };

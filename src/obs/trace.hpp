@@ -25,11 +25,12 @@
 
 namespace rlb::obs {
 
-/// What happened.  Request lifecycle (submit/route/enqueue/serve/reject/
-/// flush), delayed-cuckoo internals (phase boundary, per-P_j arrivals,
-/// kick chains, stash hits, assignment failures), migration, serving-engine
-/// network events (accept/close/protocol errors), profiling scopes, and
-/// free-form counter samples.
+/// What happened in a simulation.  Request lifecycle (submit/route/
+/// enqueue/serve/reject/flush), delayed-cuckoo internals (phase boundary,
+/// per-P_j arrivals, kick chains, stash hits, assignment failures),
+/// migration, fault transitions, profiling scopes, and free-form counter
+/// samples.  The serving stack reports through STATS, the journal and
+/// spans instead.
 enum class EventKind : std::uint8_t {
   kSubmit,
   kRoute,
@@ -44,8 +45,6 @@ enum class EventKind : std::uint8_t {
   kAssignFail,
   kMigration,
   kFault,
-  kNet,
-  kEngine,
   kScope,
   kCounter,
 };

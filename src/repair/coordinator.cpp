@@ -6,7 +6,6 @@
 
 #include "net/client.hpp"
 #include "obs/journal.hpp"
-#include "obs/probes.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 
@@ -91,6 +90,7 @@ net::RepairStats RepairCoordinator::stats() const {
   s.migrations_inflight = inflight_.load(std::memory_order_relaxed);
   s.chunks_pending = pending_chunks();
   s.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
+  s.unplaceable = unplaceable_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -117,10 +117,6 @@ void RepairCoordinator::record_span(const char* name, std::uint64_t start_ns,
 }
 
 void RepairCoordinator::planner_loop() {
-  static obs::Gauge pending_gauge("repair.chunks_pending");
-  static obs::Gauge epoch_gauge("repair.epoch");
-  static obs::Counter commits("repair.commits");
-
   std::unique_lock<std::mutex> lock(mu_);
   while (!stopping_) {
     plan_cv_.wait_for(lock,
@@ -169,11 +165,7 @@ void RepairCoordinator::planner_loop() {
       }
       if (applied) {
         done_.fetch_add(delta.remaps.size(), std::memory_order_relaxed);
-        commits.add(1);
-        epoch_gauge.set(placement_.epoch());
         record_span("repair.commit", t0, delta.remaps.size(), 0);
-        RLB_TRACE_EVENT(obs::EventKind::kMigration, "repair.commit",
-                        delta.epoch, delta.remaps.size());
         obs::Journal::instance().append(obs::JournalType::kEpochCommit,
                                         delta.epoch, delta.remaps.size());
       } else {
@@ -201,16 +193,10 @@ void RepairCoordinator::planner_loop() {
       }
       if (queued > 0) work_cv_.notify_all();
     }
-    pending_gauge.set(active_.size());
   }
 }
 
 void RepairCoordinator::worker_loop() {
-  static obs::Counter done_counter("repair.migrations_done");
-  static obs::Counter failed_counter("repair.migrations_failed");
-  static obs::Counter unplaceable("repair.unplaceable");
-  static obs::Counter bytes_counter("repair.bytes_sent");
-
   for (;;) {
     Migration m;
     {
@@ -245,8 +231,6 @@ void RepairCoordinator::worker_loop() {
       case Attempt::kStaged: {
         bytes_sent_.fetch_add(config_.bytes_per_chunk,
                               std::memory_order_relaxed);
-        done_counter.add(1);
-        bytes_counter.add(config_.bytes_per_chunk);
         record_span("repair.migrate", t0, m.chunk, 0);
         obs::Journal::instance().append(obs::JournalType::kMigrateDone,
                                         m.chunk, remap.to);
@@ -259,14 +243,13 @@ void RepairCoordinator::worker_loop() {
         break;
       }
       case Attempt::kSkip: {
-        unplaceable.add(1);
+        unplaceable_.fetch_add(1, std::memory_order_relaxed);
         std::lock_guard<std::mutex> lock(mu_);
         active_.erase(m.chunk);
         break;
       }
       case Attempt::kFailed: {
         failed_.fetch_add(1, std::memory_order_relaxed);
-        failed_counter.add(1);
         record_span("repair.migrate", t0, m.chunk, 1);
         obs::Journal::instance().append(obs::JournalType::kMigrateFail,
                                         m.chunk, m.from);

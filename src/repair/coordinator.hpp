@@ -95,7 +95,7 @@ class RepairCoordinator {
   void on_backend_down(std::uint32_t id);
   void on_backend_up(std::uint32_t id);
 
-  /// Router-side repair counters for StatsSnapshot v4.  The backend-side
+  /// Router-side repair counters for the STATS snapshot.  The backend-side
   /// RepairStats fields stay zero here; rlbd fills those from its
   /// MigrationAgent.
   [[nodiscard]] net::RepairStats stats() const;
@@ -147,6 +147,7 @@ class RepairCoordinator {
   std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> inflight_{0};
   std::atomic<std::uint64_t> bytes_sent_{0};
+  std::atomic<std::uint64_t> unplaceable_{0};
 };
 
 }  // namespace rlb::repair

@@ -4,8 +4,6 @@
 #include <exception>
 
 #include "net/client.hpp"
-#include "obs/probes.hpp"
-#include "obs/trace.hpp"
 
 namespace rlb::repair {
 
@@ -53,10 +51,6 @@ void MigrationAgent::stop() {
 
 void MigrationAgent::handle_migrate(std::uint64_t token,
                                     const net::MigrateMsg& msg) {
-  RLB_TRACE_EVENT(obs::EventKind::kMigration, "repair.order", msg.chunk,
-                  msg.target_backend);
-  static obs::Counter orders("repair.orders_received");
-  orders.add(1);
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) return;
@@ -67,9 +61,6 @@ void MigrationAgent::handle_migrate(std::uint64_t token,
 
 void MigrationAgent::handle_migrate_data(std::uint64_t token,
                                          const net::MigrateDataMsg& msg) {
-  static obs::Counter slices("repair.slices_received");
-  static obs::Counter corrupt("repair.slices_corrupt");
-  slices.add(1);
   const std::uint64_t computed =
       net::migrate_checksum(msg.payload.data(), msg.payload.size());
   bool payload_ok = computed == msg.checksum;
@@ -82,7 +73,7 @@ void MigrationAgent::handle_migrate_data(std::uint64_t token,
       }
     }
   }
-  if (!payload_ok) corrupt.add(1);
+  if (!payload_ok && on_corrupt_) on_corrupt_();
 
   bool last = msg.last;
   bool ok = false;

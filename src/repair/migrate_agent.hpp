@@ -77,6 +77,11 @@ class MigrationAgent {
   /// Fired once per completed OUTBOUND migration (this backend was the
   /// source).  Install before start().
   void set_on_migration_out(ByteFn fn) { on_out_ = std::move(fn); }
+  /// Fired once per inbound slice that fails its checksum or byte
+  /// pattern.  Install before install().
+  void set_on_corrupt_slice(std::function<void()> fn) {
+    on_corrupt_ = std::move(fn);
+  }
 
   std::uint64_t migrations_out() const {
     return migrations_out_.load(std::memory_order_relaxed);
@@ -115,6 +120,7 @@ class MigrationAgent {
   MigrationAgentConfig config_;
   ByteFn on_in_;
   ByteFn on_out_;
+  std::function<void()> on_corrupt_;
 
   std::mutex mu_;
   std::condition_variable cv_;

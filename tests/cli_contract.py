@@ -62,6 +62,13 @@ def main():
             (router, ["--backends", "nonsense"], "--backends"),
             (loadgen, ["--set-size", "-1"], "--set-size"),
             (loadgen, ["--rate", "0"], "--rate"),
+            # Nothing in the router or the load generator records probes
+            # or trace events, so neither takes the output block.
+            (router, ["--probes"], "--probes"),
+            (router, ["--trace-detail"], "--trace-detail"),
+            (router, ["--format", "csv"], "--format"),
+            (loadgen, ["--trace", os.path.join(tmp, "t.json")], "--trace"),
+            (loadgen, ["--probes"], "--probes"),
             (bench, ["--fail-rte", "0.1"], "--fail-rte"),
             (bench, ["--trace"], "--trace"),
         ]

@@ -78,9 +78,9 @@ TEST(ServingEngine, AnswersEveryRequestExactlyOnce) {
   }
   EXPECT_EQ(ids.size(), n);
 
-  const EngineStats stats = engine.stats();
+  const net::ShardStats stats = engine.snapshot().totals();
   EXPECT_EQ(stats.submitted, n);
-  EXPECT_EQ(stats.completed + stats.rejected + stats.overload_rejected, n);
+  EXPECT_EQ(stats.completed + stats.rejected_total(), n);
   EXPECT_EQ(stats.backlog, 0u);
 }
 
@@ -98,10 +98,10 @@ TEST(ServingEngine, LightLoadIsAllServed) {
     ASSERT_TRUE(submit_one(engine, 0, i, i));
   }
   engine.stop();
-  const EngineStats stats = engine.stats();
+  const net::ShardStats stats = engine.snapshot().totals();
   EXPECT_EQ(stats.completed, 1000u);
-  EXPECT_EQ(stats.rejected, 0u);
-  EXPECT_EQ(stats.overload_rejected, 0u);
+  EXPECT_EQ(stats.rejected_total() - stats.rejected_admission, 0u);
+  EXPECT_EQ(stats.rejected_admission, 0u);
 }
 
 TEST(ServingEngine, SubmitAfterStopIsRefused) {
@@ -184,7 +184,7 @@ TEST(ServingEngine, ScriptedCrashDegradesWithoutDeadlock) {
 
   const std::vector<EngineResponse> responses = collector.take();
   EXPECT_EQ(responses.size(), n);
-  const EngineStats stats = engine.stats();
+  const net::ShardStats stats = engine.snapshot().totals();
   EXPECT_EQ(stats.crashes, 6u);
   EXPECT_EQ(stats.servers_down, 6u);
   for (const EngineResponse& r : responses) {
@@ -210,7 +210,7 @@ TEST(ServingEngine, RecoveryRestoresServers) {
     ASSERT_TRUE(submit_one(engine, 0, i, i));
   }
   engine.stop();
-  const EngineStats stats = engine.stats();
+  const net::ShardStats stats = engine.snapshot().totals();
   EXPECT_EQ(stats.crashes, 1u);
   EXPECT_EQ(stats.recoveries, 1u);
   EXPECT_EQ(stats.servers_down, 0u);

@@ -115,10 +115,14 @@ TEST(EngineStatsSnapshot, ConcurrentScrapeSeesMonotoneCounters) {
   EXPECT_EQ(responses.load(), expected);
   EXPECT_EQ(totals.completed + totals.rejected_total() + totals.errors,
             expected);
-  // And the snapshot agrees with the coarse EngineStats view.
-  const engine::EngineStats stats = engine.stats();
-  EXPECT_EQ(totals.submitted, stats.submitted);
-  EXPECT_EQ(totals.completed, stats.completed);
+  // The per-tick histograms agree with the counters they shadow: one
+  // batch_size sample per non-empty batch, and step_ns sums to the
+  // cumulative step time.
+  EXPECT_EQ(final_snapshot.batch_size.count, totals.batches);
+  EXPECT_EQ(final_snapshot.batch_size.sum, totals.batched_chunks);
+  EXPECT_EQ(final_snapshot.batch_size.max, totals.max_batch);
+  EXPECT_EQ(final_snapshot.step_ns.sum, totals.step_ns);
+  EXPECT_GE(final_snapshot.step_ns.count, totals.batches);
   // Latency was recorded for every answered request.
   EXPECT_EQ(final_snapshot.latency.count, expected);
 }

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -119,14 +120,18 @@ TEST(RepairPayload, DeterministicAndChunkDependent) {
 // ---- MigrationAgent over real sockets ----------------------------------
 
 /// A backend reduced to its repair role: NetServer + MigrationAgent, no
-/// engine (REQUEST frames are ignored).
+/// engine (REQUEST frames are ignored).  `setup` installs callbacks before
+/// anything starts.
 class AgentHost {
  public:
-  explicit AgentHost(repair::MigrationAgentConfig config = {}) {
+  explicit AgentHost(
+      repair::MigrationAgentConfig config = {},
+      const std::function<void(repair::MigrationAgent&)>& setup = {}) {
     net::ServerConfig net_config;  // ephemeral port
     server_ = std::make_unique<net::NetServer>(
         net_config, [](std::uint64_t, const net::RequestMsg&) {});
     agent_ = std::make_unique<repair::MigrationAgent>(*server_, config);
+    if (setup) setup(*agent_);
     agent_->install();
     server_->start();
     agent_->start();
@@ -237,6 +242,36 @@ TEST(MigrationAgentWire, UnreachableTargetAcksFailureToCoordinator) {
   EXPECT_EQ(source.agent().migrations_out(), 0u);
 }
 
+TEST(MigrationAgentWire, CorruptSliceIsCountedAndFailsTheMigration) {
+  std::atomic<std::uint64_t> corrupt{0};
+  AgentHost target({}, [&](repair::MigrationAgent& agent) {
+    agent.set_on_corrupt_slice([&] { corrupt.fetch_add(1); });
+  });
+  net::MigrateDataMsg data;
+  data.migration_id = 4;
+  data.chunk = 7;
+  data.total_bytes = 16;
+  data.last = true;
+  for (std::uint64_t i = 0; i < data.total_bytes; ++i) {
+    data.payload.push_back(repair::chunk_payload_byte(data.chunk, i));
+  }
+  data.payload[5] ^= 1;  // a flipped bit the checksum below still covers
+  data.checksum =
+      net::migrate_checksum(data.payload.data(), data.payload.size());
+
+  net::Client source;
+  source.connect("127.0.0.1", target.port());
+  source.set_recv_timeout_ms(5000);
+  source.send_migrate_data(data);
+  source.flush();
+  net::MigrateAckMsg ack;
+  ASSERT_EQ(source.try_read_migrate_ack(ack), net::ReadOutcome::kFrame);
+  EXPECT_EQ(ack.migration_id, 4u);
+  EXPECT_NE(ack.status, 0u) << "a corrupt slice must not ack success";
+  EXPECT_EQ(corrupt.load(), 1u);
+  EXPECT_EQ(target.agent().migrations_in(), 0u);
+}
+
 // ---- RepairCoordinator + Router end to end ------------------------------
 
 /// One rlbd-shaped backend with the full repair plane installed: engine +
@@ -280,6 +315,7 @@ class RepairBackend {
         [this](std::uint64_t bytes) { engine_->note_migration_in(bytes); });
     agent_->set_on_migration_out(
         [this](std::uint64_t bytes) { engine_->note_migration_out(bytes); });
+    agent_->set_on_corrupt_slice([this] { engine_->note_corrupt_slice(); });
     agent_->install();
     engine_->start();
     server_->start();
@@ -306,7 +342,7 @@ class RepairBackend {
   }
 
   std::uint16_t port() const { return server_->port(); }
-  engine::EngineStats stats() const { return engine_->stats(); }
+  net::ShardStats stats() const { return engine_->snapshot().totals(); }
   net::StatsSnapshot snapshot() const { return engine_->snapshot(); }
   repair::MigrationAgent& agent() { return *agent_; }
 

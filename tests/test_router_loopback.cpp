@@ -88,7 +88,7 @@ class Backend {
   }
 
   std::uint16_t port() const { return server_->port(); }
-  engine::EngineStats stats() const { return engine_->stats(); }
+  net::ShardStats stats() const { return engine_->snapshot().totals(); }
 
  private:
   std::unique_ptr<net::NetServer> server_;

@@ -158,9 +158,9 @@ TEST(ServingLoopback, SingleClientAllAnswered) {
   EXPECT_EQ(tally.answered_ids.size(), 5000u);
 
   stack.stop();
-  const engine::EngineStats stats = stack.engine().stats();
+  const net::ShardStats stats = stack.engine().snapshot().totals();
   EXPECT_EQ(stats.submitted, 5000u);
-  EXPECT_EQ(stats.completed + stats.rejected + stats.overload_rejected, 5000u);
+  EXPECT_EQ(stats.completed + stats.rejected_total(), 5000u);
 }
 
 TEST(ServingLoopback, ConcurrentClientsNoCrossTalk) {
@@ -193,7 +193,7 @@ TEST(ServingLoopback, ConcurrentClientsNoCrossTalk) {
   EXPECT_EQ(answered, kClients * kQuota);
 
   stack.stop();
-  EXPECT_EQ(stack.engine().stats().submitted, kClients * kQuota);
+  EXPECT_EQ(stack.engine().snapshot().totals().submitted, kClients * kQuota);
 }
 
 TEST(ServingLoopback, ServesThroughScriptedCrash) {
@@ -216,7 +216,7 @@ TEST(ServingLoopback, ServesThroughScriptedCrash) {
   EXPECT_EQ(tally.answered_ids.size(), 20000u);
 
   stack.stop();
-  const engine::EngineStats stats = stack.engine().stats();
+  const net::ShardStats stats = stack.engine().snapshot().totals();
   EXPECT_EQ(stats.crashes, 2u);
   EXPECT_EQ(stats.servers_down, 2u);
 }

@@ -14,138 +14,32 @@
 
 #include "net/stats.hpp"
 #include "net/wire.hpp"
+#include "stats_snapshots.hpp"
 
 namespace rlb::net {
 namespace {
 
-/// A snapshot with every field populated, so the round-trip test covers
-/// the full layout (including the vectors and the histogram array).
-StatsSnapshot make_full_snapshot() {
-  StatsSnapshot snapshot;
-  snapshot.uptime_ms = 123456;
-  snapshot.role = NodeRole::kRouter;
-  snapshot.backend_id = 7;
-  snapshot.policy = "greedy";
-  snapshot.servers = 64;
-  snapshot.replication = 4;
-  snapshot.processing_rate = 4;
-  snapshot.queue_capacity = 7;
-  snapshot.shard_count = 2;
-  for (std::uint32_t i = 0; i < 2; ++i) {
-    ShardStats shard;
-    shard.shard = i;
-    shard.submitted = 1000 + i;
-    shard.completed = 900 + i;
-    shard.rejected_queue_full = 40;
-    shard.rejected_all_down = 5;
-    shard.rejected_admission = 30;
-    shard.rejected_drop = 25 + i;
-    shard.errors = i;
-    shard.ticks = 5000;
-    shard.batches = 4000;
-    shard.batched_chunks = 12000;
-    shard.max_batch = 32;
-    shard.inbound_depth = 3;
-    shard.waiting_depth = 2;
-    shard.inflight = 1;
-    shard.backlog = 17;
-    shard.servers_down = i;
-    shard.step_ns = 987654321;
-    snapshot.shards.push_back(shard);
+using testing::make_backend_snapshot;
+using testing::make_full_snapshot;
+
+/// Every histogram of the snapshot, lifetime then windowed (wire order).
+std::vector<obs::LogHistogram StatsSnapshot::*> histogram_members() {
+  std::vector<obs::LogHistogram StatsSnapshot::*> out;
+  for (const HistogramDesc& h : kHistogramFields) out.push_back(h.member);
+  for (const HistogramDesc& h : kWindowHistogramFields) {
+    out.push_back(h.member);
   }
-  snapshot.latency.count = 1000;
-  snapshot.latency.sum = 500000;
-  snapshot.latency.max = 9000;
-  for (std::size_t i = 0; i < obs::hist::kBuckets; ++i) {
-    snapshot.latency.buckets[i] = i * 10;
-  }
-  // v3 per-hop histograms: distinct values per field so a swapped decode
-  // (hop_rtt read into queue_wait or vice versa) fails the round trip.
-  snapshot.hop_rtt.count = 77;
-  snapshot.hop_rtt.sum = 35000;
-  snapshot.hop_rtt.max = 4200;
-  snapshot.hop_rtt.buckets[5] = 77;
-  snapshot.queue_wait.count = 333;
-  snapshot.queue_wait.sum = 9999;
-  snapshot.queue_wait.max = 512;
-  snapshot.queue_wait.buckets[3] = 333;
-  snapshot.safe_set.push_back({1, 30, 32.0, 0.9375});
-  snapshot.safe_set.push_back({2, 20, 16.0, 1.25});
-  snapshot.safe_worst_ratio = 1.25;
-  snapshot.safe_violated_level = 2;
-  // v4 repair tier: distinct values per field so any decode transposition
-  // fails the round trip.
-  snapshot.placement_epoch = 11;
-  snapshot.repair.migrations_done = 21;
-  snapshot.repair.migrations_failed = 2;
-  snapshot.repair.migrations_inflight = 1;
-  snapshot.repair.chunks_pending = 5;
-  snapshot.repair.bytes_sent = 86016;
-  snapshot.repair.migrations_in = 13;
-  snapshot.repair.migrations_out = 8;
-  snapshot.repair.migration_bytes_in = 53248;
-  snapshot.repair.migration_bytes_out = 32768;
-  // v5 health plane: windowed deltas + alerts, distinct values per
-  // histogram so a transposed decode fails the round trip.
-  snapshot.window_span_ms = 9500;
-  snapshot.win_submitted = 4200;
-  snapshot.win_completed = 4100;
-  snapshot.win_rejected = 100;
-  snapshot.win_latency.count = 41;
-  snapshot.win_latency.sum = 8200;
-  snapshot.win_latency.max = 900;
-  snapshot.win_latency.buckets[4] = 41;
-  snapshot.win_hop_rtt.count = 7;
-  snapshot.win_hop_rtt.sum = 1400;
-  snapshot.win_hop_rtt.max = 300;
-  snapshot.win_hop_rtt.buckets[6] = 7;
-  snapshot.win_queue_wait.count = 19;
-  snapshot.win_queue_wait.sum = 380;
-  snapshot.win_queue_wait.max = 40;
-  snapshot.win_queue_wait.buckets[2] = 19;
-  snapshot.active_alerts = {"safe_set", "p99_jump"};
-  return snapshot;
+  return out;
 }
 
-/// A backend's snapshot as the engine fills it: histograms recorded from
-/// samples (sparse spans), hop_rtt empty, a few shard rows.
-StatsSnapshot make_backend_snapshot() {
-  StatsSnapshot snapshot;
-  snapshot.uptime_ms = 4200;
-  snapshot.role = NodeRole::kBackend;
-  snapshot.backend_id = 2;
-  snapshot.policy = "delayed-cuckoo";
-  snapshot.servers = 32;
-  snapshot.replication = 2;
-  snapshot.shard_count = 1;
-  ShardStats shard;
-  shard.submitted = 5000;
-  shard.completed = 4990;
-  snapshot.shards.push_back(shard);
-  for (std::uint64_t i = 0; i < 5000; ++i) {
-    snapshot.latency.record(60 + (i * 37) % 900);
-    snapshot.queue_wait.record((i * 13) % 40);
-    if (i % 5 == 0) snapshot.win_latency.record(70 + (i * 11) % 600);
-    if (i % 7 == 0) snapshot.win_queue_wait.record(i % 25);
-  }
-  snapshot.safe_set.push_back({1, 3, 16.0, 0.1875});
-  snapshot.window_span_ms = 9000;
-  snapshot.win_submitted = 1000;
-  snapshot.win_completed = 998;
-  return snapshot;
-}
-
-/// Byte offset of each of the six histograms (the `count` word that
-/// opens it) in `snapshot`'s encoding, found by re-encoding with one
-/// histogram's count changed and locating the first differing byte.
+/// Byte offset of each histogram (the `count` word that opens it) in
+/// `snapshot`'s encoding, found by re-encoding with one histogram's count
+/// changed and locating the first differing byte.
 std::vector<std::size_t> histogram_offsets(const StatsSnapshot& snapshot) {
   std::vector<std::uint8_t> base;
   encode_stats_payload(snapshot, base);
   std::vector<std::size_t> offsets;
-  for (obs::LogHistogram StatsSnapshot::* h :
-       {&StatsSnapshot::latency, &StatsSnapshot::hop_rtt,
-        &StatsSnapshot::queue_wait, &StatsSnapshot::win_latency,
-        &StatsSnapshot::win_hop_rtt, &StatsSnapshot::win_queue_wait}) {
+  for (obs::LogHistogram StatsSnapshot::* h : histogram_members()) {
     StatsSnapshot marked = snapshot;
     (marked.*h).count ^= 0xA5;
     std::vector<std::uint8_t> bytes;
@@ -179,12 +73,11 @@ void put_u64_at(std::vector<std::uint8_t>& bytes, std::size_t at,
 /// quantiles that never exceed max, and a Prometheus rendering whose
 /// histogram series are 33 monotone cumulative counts ending at +Inf.
 void expect_in_bounds(const StatsSnapshot& snapshot) {
-  for (const obs::LogHistogram* h :
-       {&snapshot.latency, &snapshot.hop_rtt, &snapshot.queue_wait,
-        &snapshot.win_latency, &snapshot.win_hop_rtt,
-        &snapshot.win_queue_wait}) {
+  const std::vector<obs::LogHistogram StatsSnapshot::*> members =
+      histogram_members();
+  for (obs::LogHistogram StatsSnapshot::* h : members) {
     for (const double q : {0.0, 0.5, 0.99, 1.0}) {
-      ASSERT_LE(h->quantile(q), h->max) << "q=" << q;
+      ASSERT_LE((snapshot.*h).quantile(q), (snapshot.*h).max) << "q=" << q;
     }
   }
   std::istringstream text(render_prometheus(snapshot));
@@ -210,7 +103,7 @@ void expect_in_bounds(const StatsSnapshot& snapshot) {
       ASSERT_EQ(rows, obs::hist::kTopBits + 1) << family;
     }
   }
-  ASSERT_EQ(series, 6u);
+  ASSERT_EQ(series, members.size());
   ASSERT_FALSE(render_json(snapshot).empty());
 }
 
@@ -238,27 +131,13 @@ TEST(StatsCodec, RoundTripPreservesEveryField) {
     const ShardStats& a = original.shards[i];
     const ShardStats& b = decoded.shards[i];
     EXPECT_EQ(b.shard, a.shard);
-    EXPECT_EQ(b.submitted, a.submitted);
-    EXPECT_EQ(b.completed, a.completed);
-    EXPECT_EQ(b.rejected_queue_full, a.rejected_queue_full);
-    EXPECT_EQ(b.rejected_all_down, a.rejected_all_down);
-    EXPECT_EQ(b.rejected_admission, a.rejected_admission);
-    EXPECT_EQ(b.rejected_drop, a.rejected_drop);
-    EXPECT_EQ(b.errors, a.errors);
-    EXPECT_EQ(b.ticks, a.ticks);
-    EXPECT_EQ(b.batches, a.batches);
-    EXPECT_EQ(b.batched_chunks, a.batched_chunks);
-    EXPECT_EQ(b.max_batch, a.max_batch);
-    EXPECT_EQ(b.inbound_depth, a.inbound_depth);
-    EXPECT_EQ(b.waiting_depth, a.waiting_depth);
-    EXPECT_EQ(b.inflight, a.inflight);
-    EXPECT_EQ(b.backlog, a.backlog);
-    EXPECT_EQ(b.servers_down, a.servers_down);
-    EXPECT_EQ(b.step_ns, a.step_ns);
+    for (const FieldDesc<ShardStats>& f : kShardFields) {
+      EXPECT_EQ(b.*f.member, a.*f.member) << f.key;
+    }
   }
-  EXPECT_EQ(decoded.latency, original.latency);
-  EXPECT_EQ(decoded.hop_rtt, original.hop_rtt);
-  EXPECT_EQ(decoded.queue_wait, original.queue_wait);
+  for (obs::LogHistogram StatsSnapshot::* h : histogram_members()) {
+    EXPECT_EQ(decoded.*h, original.*h);
+  }
   ASSERT_EQ(decoded.safe_set.size(), original.safe_set.size());
   for (std::size_t i = 0; i < original.safe_set.size(); ++i) {
     EXPECT_EQ(decoded.safe_set[i].level, original.safe_set[i].level);
@@ -269,26 +148,13 @@ TEST(StatsCodec, RoundTripPreservesEveryField) {
   EXPECT_DOUBLE_EQ(decoded.safe_worst_ratio, original.safe_worst_ratio);
   EXPECT_EQ(decoded.safe_violated_level, original.safe_violated_level);
   EXPECT_EQ(decoded.placement_epoch, original.placement_epoch);
-  EXPECT_EQ(decoded.repair.migrations_done, original.repair.migrations_done);
-  EXPECT_EQ(decoded.repair.migrations_failed,
-            original.repair.migrations_failed);
-  EXPECT_EQ(decoded.repair.migrations_inflight,
-            original.repair.migrations_inflight);
-  EXPECT_EQ(decoded.repair.chunks_pending, original.repair.chunks_pending);
-  EXPECT_EQ(decoded.repair.bytes_sent, original.repair.bytes_sent);
-  EXPECT_EQ(decoded.repair.migrations_in, original.repair.migrations_in);
-  EXPECT_EQ(decoded.repair.migrations_out, original.repair.migrations_out);
-  EXPECT_EQ(decoded.repair.migration_bytes_in,
-            original.repair.migration_bytes_in);
-  EXPECT_EQ(decoded.repair.migration_bytes_out,
-            original.repair.migration_bytes_out);
+  for (const FieldDesc<RepairStats>& f : kRepairFields) {
+    EXPECT_EQ(decoded.repair.*f.member, original.repair.*f.member) << f.key;
+  }
   EXPECT_EQ(decoded.window_span_ms, original.window_span_ms);
   EXPECT_EQ(decoded.win_submitted, original.win_submitted);
   EXPECT_EQ(decoded.win_completed, original.win_completed);
   EXPECT_EQ(decoded.win_rejected, original.win_rejected);
-  EXPECT_EQ(decoded.win_latency, original.win_latency);
-  EXPECT_EQ(decoded.win_hop_rtt, original.win_hop_rtt);
-  EXPECT_EQ(decoded.win_queue_wait, original.win_queue_wait);
   EXPECT_EQ(decoded.active_alerts, original.active_alerts);
 }
 
