@@ -9,8 +9,16 @@
 // least-estimated-backlog live candidate over that backend's multiplexed
 // UpstreamConn, with the request id remapped to a router-assigned hop id
 // (client ids from different connections collide; hop ids never do).  The
-// response is relayed back asynchronously through the reactor via
-// send_response() keyed by the recorded {conn token, client id}.
+// response is relayed back via send_response() keyed by the recorded
+// {conn token, client id}.
+//
+// Thread model: the data plane is one thread.  Every UpstreamConn is
+// registered on the NetServer's own reactor (net/reactor.hpp), so its loop
+// reads client requests, writes hops, reads backend responses, writes
+// relays and runs the hop-timeout sweep on a timer; the in-flight hop
+// table is private to it.  Besides that loop the router runs one
+// heartbeat prober thread per backend and, when enabled, the repair
+// plane's threads.
 //
 // Failure handling is budgeted: a hop that times out, or whose backend
 // connection drops, is retried on the next-best untried live candidate
@@ -101,13 +109,13 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Bind the client listener, dial every backend, launch heartbeat
-  /// probers and the timeout sweeper.  Throws std::runtime_error when the
-  /// listener cannot bind.
+  /// Bind the client listener, dial every backend (now, on the reactor),
+  /// arm the hop-timeout sweep and launch the heartbeat probers.  Throws
+  /// std::runtime_error when the listener cannot bind.
   void start();
 
-  /// Reject every pending hop, tear down upstream connections and
-  /// threads, drain the client listener.  Idempotent.
+  /// Join the probers, then on the reactor close every upstream (rejecting
+  /// its pending hops), and drain the client listener.  Idempotent.
   void stop();
 
   std::uint16_t port() const noexcept;

@@ -1,5 +1,6 @@
 #include "engine/engine.hpp"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -10,6 +11,7 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -21,6 +23,7 @@
 #include "core/safe_distribution.hpp"
 #include "hashing/hash.hpp"
 #include "obs/journal.hpp"
+#include "obs/thread_name.hpp"
 #include "obs/trace.hpp"
 #include "obs/window.hpp"
 #include "policies/factory.hpp"
@@ -437,9 +440,58 @@ struct ServingEngine::Impl {
   static constexpr std::size_t kWinRejected = 2;
   obs::WindowedAggregator win_latency;
   obs::WindowedAggregator win_queue_wait;
-  // Safe-set edge trigger: journal MEMBER-style transitions only when the
-  // invariant flips, not on every scrape.
+  // Safe-set monitor (Def 3.2).  The shard workers evaluate the invariant
+  // from the backlog_by_server samples they refresh every tick, at most
+  // once per kSafeCheckNs (the worker whose CAS claims the deadline does
+  // it), and journal one event per flip.  snapshot() only reports, so what
+  // reaches the journal does not depend on who scrapes, or when.
+  static constexpr std::uint64_t kSafeCheckNs = 100'000'000;
+  std::atomic<std::uint64_t> safe_check_due_ns{0};
   std::atomic<bool> safe_violated{false};
+
+  /// The per-level view over the whole m-server backlog vector: the
+  /// per-shard samples splice back together, so the m/2^j bounds keep
+  /// their whole-cluster meaning even though each shard balances a
+  /// partition.
+  std::vector<core::SafeSetLevel> safe_set_levels() const {
+    std::vector<std::uint32_t> backlogs;
+    backlogs.reserve(config.servers);
+    for (const auto& shard : shards) {
+      for (std::size_t s = 0; s < shard->server_span; ++s) {
+        backlogs.push_back(
+            shard->backlog_by_server[s].load(std::memory_order_relaxed));
+      }
+    }
+    return core::safe_set_levels(backlogs);
+  }
+
+  /// Called by every shard worker each tick; journals the invariant's
+  /// edges.  Ratio travels in parts-per-million (the journal carries
+  /// integers).
+  void check_safe_set() {
+    const std::uint64_t now = obs::now_ns();
+    std::uint64_t due = safe_check_due_ns.load(std::memory_order_relaxed);
+    if (now < due || !safe_check_due_ns.compare_exchange_strong(
+                         due, now + kSafeCheckNs, std::memory_order_relaxed)) {
+      return;
+    }
+    std::uint32_t violated_level = 0;
+    double worst_ratio = 0.0;
+    for (const core::SafeSetLevel& level : safe_set_levels()) {
+      worst_ratio = std::max(worst_ratio, level.ratio);
+      if (violated_level == 0 && level.ratio > 1.0) {
+        violated_level = level.level;
+      }
+    }
+    const bool violated_now = violated_level != 0;
+    if (violated_now !=
+        safe_violated.exchange(violated_now, std::memory_order_relaxed)) {
+      obs::Journal::instance().append(
+          violated_now ? obs::JournalType::kSafeSetViolated
+                       : obs::JournalType::kSafeSetRecovered,
+          violated_level, static_cast<std::uint64_t>(worst_ratio * 1e6));
+    }
+  }
 
   void respond(const EngineResponse& response) { on_response(response); }
 };
@@ -535,13 +587,24 @@ void ServingEngine::Impl::Shard::run() {
       balancer_backlog += backlog_scratch[s];
     }
     backlog.store(balancer_backlog, std::memory_order_relaxed);
+    owner->check_safe_set();
     bool shutting_down = false;
     std::size_t drained = 0;
     {
       std::unique_lock lock(mutex);
       if (inbound.empty() && !stopping && waiting.empty() &&
           balancer_backlog == 0) {
-        cv.wait(lock, [&] { return !inbound.empty() || stopping; });
+        const auto woken = [&] { return !inbound.empty() || stopping; };
+        if (!owner->safe_violated.load(std::memory_order_relaxed)) {
+          cv.wait(lock, woken);
+        } else if (!cv.wait_for(lock,
+                                std::chrono::nanoseconds(Impl::kSafeCheckNs),
+                                woken)) {
+          // Idle while the invariant is last known violated: come back
+          // when the next evaluation is due, so the recovery is journaled
+          // even if no request ever arrives.
+          continue;
+        }
       }
       incoming.swap(inbound);
       shutting_down = stopping;
@@ -747,8 +810,11 @@ void ServingEngine::start() {
   impl_->started = true;
   impl_->start_ns = obs::now_ns();
   impl_->accepting.store(true, std::memory_order_release);
-  for (auto& shard : impl_->shards) {
-    shard->thread = std::thread([s = shard.get()] { s->run(); });
+  for (std::size_t i = 0; i < impl_->shards.size(); ++i) {
+    impl_->shards[i]->thread = std::thread([s = impl_->shards[i].get(), i] {
+      obs::set_thread_name("rlb-shard" + std::to_string(i));
+      s->run();
+    });
   }
 }
 
@@ -843,9 +909,6 @@ net::StatsSnapshot ServingEngine::snapshot() const {
   out.queue_capacity = static_cast<std::uint32_t>(impl_->config.queue_capacity);
   out.shard_count = static_cast<std::uint32_t>(impl_->shards.size());
 
-  std::vector<std::uint32_t> global_backlogs;
-  global_backlogs.reserve(impl_->config.servers);
-
   for (const auto& shard : impl_->shards) {
     net::ShardStats row;
     row.shard = static_cast<std::uint32_t>(shard->index);
@@ -877,18 +940,11 @@ net::StatsSnapshot ServingEngine::snapshot() const {
     shard->queue_wait.merge_into(out.queue_wait);
     shard->step_hist.merge_into(out.step_ns);
     shard->batch_hist.merge_into(out.batch_size);
-
-    for (std::size_t s = 0; s < shard->server_span; ++s) {
-      global_backlogs.push_back(
-          shard->backlog_by_server[s].load(std::memory_order_relaxed));
-    }
   }
 
-  // Safe-set invariant monitor (Def 3.2): the per-shard samples splice back
-  // into the global m-server backlog vector, so the m/2^j bounds keep their
-  // whole-cluster meaning even though each shard balances a partition.
-  const std::vector<core::SafeSetLevel> levels =
-      core::safe_set_levels(global_backlogs);
+  // Safe-set invariant monitor (Def 3.2).  Reporting only: the shard
+  // workers journal its edges (Impl::check_safe_set).
+  const std::vector<core::SafeSetLevel> levels = impl_->safe_set_levels();
   out.safe_set.reserve(levels.size());
   for (const core::SafeSetLevel& level : levels) {
     net::SafeSetLevelStats row;
@@ -903,18 +959,6 @@ net::StatsSnapshot ServingEngine::snapshot() const {
     if (out.safe_violated_level == 0 && level.ratio > 1.0) {
       out.safe_violated_level = level.level;
     }
-  }
-  // Edge-triggered journal entries: one event per flip of the invariant,
-  // not one per scrape.  Ratio travels in parts-per-million (the journal
-  // carries integers).
-  const bool violated_now = out.safe_violated_level != 0;
-  if (violated_now !=
-      impl_->safe_violated.exchange(violated_now, std::memory_order_relaxed)) {
-    obs::Journal::instance().append(
-        violated_now ? obs::JournalType::kSafeSetViolated
-                     : obs::JournalType::kSafeSetRecovered,
-        out.safe_violated_level,
-        static_cast<std::uint64_t>(out.safe_worst_ratio * 1e6));
   }
 
   out.placement_epoch = impl_->placement_epoch.load(std::memory_order_relaxed);

@@ -159,7 +159,10 @@ class ServingEngine {
   /// (snapshot().totals() is the engine-wide view), merged histograms, and
   /// the Def 3.2 safe-set monitor over the merged backlog vector.  Lock-free — reads each shard's atomics
   /// without stopping its worker — so a row is internally consistent only
-  /// up to in-flight ticks.  Safe to call from any thread at any time.
+  /// up to in-flight ticks.  Safe to call from any thread at any time, and
+  /// free of side effects: the shard workers journal the safe-set edges
+  /// (SAFE_SET_VIOLATED / SAFE_SET_RECOVERED) themselves, checking at most
+  /// every 100 ms, whether or not anyone scrapes.
   net::StatsSnapshot snapshot() const;
 
   std::size_t shard_count() const;

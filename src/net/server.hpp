@@ -1,20 +1,21 @@
-// Non-blocking loopback TCP listener + event loop for the serving engine.
+// Non-blocking loopback TCP listener for the serving engine, on a
+// net::Reactor (net/reactor.hpp).
 //
-// One event-loop thread owns every socket: it accepts connections, reads
-// and reassembles frames (net/wire.hpp), and hands decoded REQUEST
-// messages to the registered handler.  The readiness loop is epoll
-// edge-triggered (Linux only); read, accept and write paths all drain to
-// EAGAIN as edge-triggering requires.
+// The server owns one Reactor: its loop thread accepts connections (up to
+// ServerConfig::max_connections), reassembles frames and hands decoded
+// REQUEST messages to the registered handler, and admin frames (STATS,
+// EVENTS, MIGRATE) to theirs.  Other components may register their own
+// connections on the same reactor through reactor(): a cluster::Router
+// dials its backends there, so one thread reads client requests, writes
+// hops, reads backend responses and writes relays.
 //
-// There is no global lock on the data path.  Responses are pushed from
-// OTHER threads (the engine's shard workers) through send_response(),
-// which appends to a small per-connection staging buffer under that
-// connection's own mutex, flags the connection dirty, and wakes the loop
-// through a self-pipe on the clean->dirty edge.  The loop splices staged
-// bytes into loop-owned front/back drain buffers (a vector swap — no
-// copy) and writes them with writev() iovec chaining, never holding any
-// lock across a syscall.  Server counters are relaxed per-field atomics
-// aggregated by stats().
+// There is no global lock on the data path.  Responses sent on the loop
+// thread (a router relaying a backend's answer) go straight into the
+// connection's drain buffer; responses sent from OTHER threads (the
+// engine's shard workers) are staged under a per-connection mutex and the
+// loop is woken only when it sleeps.  Either way the loop writes each
+// connection once per pass (see net/reactor.hpp).  Server counters are
+// relaxed per-field atomics aggregated by stats().
 //
 // Connections are addressed by opaque 64-bit tokens (slot index + a
 // generation counter), so a late response for a connection that already
@@ -34,6 +35,8 @@
 
 namespace rlb::net {
 
+class Reactor;
+
 struct ServerConfig {
   /// Bind address.  The serving engine is loopback-only for now.
   std::string host = "127.0.0.1";
@@ -43,7 +46,8 @@ struct ServerConfig {
   std::size_t max_connections = 256;
   /// Backpressure cap: a connection whose queued outbound bytes (staged +
   /// not yet written) exceed this is closed and counted in
-  /// slow_consumer_drops.  0 disables the cap.
+  /// slow_consumer_drops.  0 disables the cap.  It applies to every
+  /// connection on the server's reactor, dialed ones included.
   std::size_t max_outbound_bytes = 8u << 20;
   /// SO_SNDBUF override for accepted sockets; 0 keeps the OS default.
   /// Mainly a test hook for forcing partial writes.
@@ -127,17 +131,21 @@ class NetServer {
   /// socket failures (port in use, etc.).
   void start();
 
+  /// The reactor serving this server's connections; others may register
+  /// dialed connections on it (see net/upstream.hpp).
+  Reactor& reactor() noexcept;
+
   /// The bound port (after start(); resolves port 0 to the real one).
   std::uint16_t port() const noexcept { return port_; }
 
   /// Graceful shutdown: stop accepting, flush pending outbound bytes for
-  /// up to `flush_timeout_ms`, close everything, join the loop thread.
-  /// Idempotent.
+  /// up to `flush_timeout_ms`, close every connection on the reactor
+  /// (dialed ones included), join the loop thread.  Idempotent.
   void stop(std::uint64_t flush_timeout_ms = 1000);
 
   /// Queue a response for delivery.  Thread-safe; callable from engine
-  /// worker threads.  Returns false when the connection is gone (the
-  /// response is dropped).
+  /// worker threads and from the loop thread itself.  Returns false when
+  /// the connection is gone (the response is dropped).
   bool send_response(std::uint64_t conn_token, const ResponseMsg& response);
 
   /// Install the batch request handler (see RequestBatchHandler).  Call

@@ -4,210 +4,126 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <chrono>
-#include <condition_variable>
-#include <cstring>
-#include <deque>
-#include <mutex>
-#include <thread>
+#include <memory>
 #include <utility>
 #include <vector>
 
-#include "net/buffer_pool.hpp"
+#include "net/reactor.hpp"
 
 namespace rlb::net {
 
-struct UpstreamConn::Impl {
+struct UpstreamConn::Impl final : ConnHandler {
+  Impl(Reactor* shared, UpstreamConfig cfg, UpstreamResponseFn response_fn,
+       UpstreamStateFn state_fn)
+      // A standalone connection's reactor has no accepted slots and no
+      // outbound cap: frames queued from another thread wait for flush(),
+      // as they always have, however far the caller runs ahead.
+      : own(shared ? nullptr : std::make_unique<Reactor>(0, 0)),
+        reactor(shared ? shared : own.get()),
+        config(std::move(cfg)),
+        on_response(std::move(response_fn)),
+        on_state(std::move(state_fn)),
+        backoff_ms(config.backoff_initial_ms) {}
+
+  std::unique_ptr<Reactor> own;
+  Reactor* reactor;
   UpstreamConfig config;
   UpstreamResponseFn on_response;
   UpstreamStateFn on_state;
 
-  // `mu` guards fd/up and the outbound queue.  The reader thread is the
-  // only closer; since the drain writer runs writev() OUTSIDE the lock,
-  // the reader first shutdown()s the socket (making in-flight writes fail
-  // fast) and waits for `writer_active` to clear before close(), so the
-  // fd number can never be recycled under a blocked writer.  Reads happen
-  // outside the lock: concurrent read/write on one socket is fine, and
-  // the fd stays valid for the reader by construction.
-  mutable std::mutex mu;
-  std::condition_variable cv;  // interrupts backoff sleeps on stop(),
-                               // and signals writer_active clearing
-  int fd = -1;
-  bool up = false;
+  // Loop-owned.
   bool running = false;
+  std::uint64_t conn = 0;  ///< registered socket (connecting or up); 0 none
+  std::uint64_t backoff_ms;
+  Reactor::TimerId redial = 0;
+
+  // Read from any thread: the token while connected, 0 while down.
+  std::atomic<std::uint64_t> up_token{0};
   std::atomic<std::uint64_t> dials{0};
-  std::thread reader;
 
-  // Outbound frame queue: one pooled chunk per frame, drained by whichever
-  // sender finds no writer active.  Concurrent send_request() calls under
-  // contention thus batch into a single writev() iovec chain instead of
-  // serializing one syscall each.
-  std::deque<std::vector<std::uint8_t>> outq;
-  std::size_t outq_head_off = 0;  // bytes of outq.front() already written
-  bool writer_active = false;
-  std::vector<iovec> iov_scratch;
-
-  void clear_outq_locked() {
-    for (auto& chunk : outq) global_buffer_pool().release(std::move(chunk));
-    outq.clear();
-    outq_head_off = 0;
+  void schedule_redial(std::uint64_t delay_ms) {
+    redial = reactor->call_after(delay_ms, [this] { dial(); });
   }
 
-  /// Drain the queue with writev() until empty, error, or drop.  `lock`
-  /// is held on entry and exit, released across each syscall.  The caller
-  /// owns writer_active.
-  bool drain_outq(std::unique_lock<std::mutex>& lock) {
-    constexpr std::size_t kMaxIov = 64;
-    while (up && !outq.empty()) {
-      iov_scratch.clear();
-      const std::size_t count = std::min(outq.size(), kMaxIov);
-      for (std::size_t i = 0; i < count; ++i) {
-        const std::size_t off = (i == 0) ? outq_head_off : 0;
-        iov_scratch.push_back(
-            iovec{outq[i].data() + off, outq[i].size() - off});
-      }
-      const int s = fd;
-      lock.unlock();
-      // Blocking socket.  sendmsg instead of writev purely for
-      // MSG_NOSIGNAL: a dead peer must surface as EPIPE, not SIGPIPE.
-      msghdr msg{};
-      msg.msg_iov = iov_scratch.data();
-      msg.msg_iovlen = count;
-      ssize_t n = ::sendmsg(s, &msg, MSG_NOSIGNAL);
-      lock.lock();
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        // The reader will observe the same drop and fire on_state(false);
-        // queued frames die with the connection (the router re-forwards
-        // their hops from its pending table on the drop signal).
-        clear_outq_locked();
-        return false;
-      }
-      while (n > 0 && !outq.empty()) {
-        std::vector<std::uint8_t>& head = outq.front();
-        const std::size_t remaining = head.size() - outq_head_off;
-        if (static_cast<std::size_t>(n) >= remaining) {
-          n -= static_cast<ssize_t>(remaining);
-          outq_head_off = 0;
-          global_buffer_pool().release(std::move(head));
-          outq.pop_front();
-        } else {
-          outq_head_off += static_cast<std::size_t>(n);
-          n = 0;
-        }
-      }
-    }
-    if (!up) {
-      clear_outq_locked();
-      return false;
-    }
-    return true;
+  /// Failed dial: wait, doubling the wait up to the cap.
+  void back_off() {
+    schedule_redial(backoff_ms);
+    backoff_ms = std::min(backoff_ms * 2, config.backoff_max_ms);
   }
 
-  int dial() {
-    int s = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (s < 0) return -1;
+  void dial() {
+    redial = 0;
+    if (!running) return;
+    const int s = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+    if (s < 0) {
+      back_off();
+      return;
+    }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(config.port);
-    if (::inet_pton(AF_INET, config.host.c_str(), &addr.sin_addr) != 1 ||
-        ::connect(s, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-      ::close(s);
-      return -1;
-    }
     const int one = 1;
     ::setsockopt(s, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    return s;
-  }
-
-  void run() {
-    std::uint64_t backoff_ms = config.backoff_initial_ms;
-    while (true) {
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        if (!running) return;
-      }
-      const int s = dial();
-      if (s < 0) {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait_for(lock, std::chrono::milliseconds(backoff_ms),
-                    [this] { return !running; });
-        if (!running) return;
-        backoff_ms = std::min(backoff_ms * 2, config.backoff_max_ms);
-        continue;
-      }
-      backoff_ms = config.backoff_initial_ms;
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (!running) {
-          ::close(s);
-          return;
-        }
-        fd = s;
-        up = true;
-      }
-      dials.fetch_add(1, std::memory_order_relaxed);
-      if (on_state) on_state(true);
-      read_until_drop(s);
-      bool still_running;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        up = false;
-        // Fail any in-flight writev fast, then wait for the writer to get
-        // off the fd before close(): closing under a blocked writer would
-        // let the kernel recycle the fd number mid-syscall.
-        ::shutdown(fd, SHUT_RDWR);
-        cv.wait(lock, [this] { return !writer_active; });
-        ::close(fd);
-        fd = -1;
-        clear_outq_locked();
-        still_running = running;
-      }
-      if (on_state) on_state(false);
-      if (!still_running) return;
+    if (::inet_pton(AF_INET, config.host.c_str(), &addr.sin_addr) != 1 ||
+        (::connect(s, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 &&
+         errno != EINPROGRESS)) {
+      ::close(s);
+      back_off();
+      return;
     }
+    conn = reactor->add(s, this, Reactor::Kind::kDialed);
+    if (conn == 0) back_off();
   }
 
-  void read_until_drop(int s) {
-    FrameDecoder decoder;
-    std::vector<std::uint8_t> payload;
-    std::uint8_t buffer[16384];
-    for (;;) {
-      const ssize_t n = ::read(s, buffer, sizeof(buffer));
-      if (n == 0) return;  // EOF — backend went away
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return;  // ECONNRESET / EBADF-after-shutdown / ...
-      }
-      if (!decoder.feed(buffer, static_cast<std::size_t>(n))) return;
-      while (decoder.next(payload)) {
-        RequestMsg request;
-        ResponseMsg response;
-        const Decoded decoded = decode_payload(payload.data(), payload.size(),
-                                               request, response);
-        // Only RESPONSE frames belong on a data-plane stream; anything
-        // else is a framing-level violation, so drop the connection.
-        if (decoded != Decoded::kResponse) return;
-        if (on_response) on_response(response);
-      }
-      if (decoder.error()) return;
+  void on_open(std::uint64_t token) override {
+    backoff_ms = config.backoff_initial_ms;
+    up_token.store(token, std::memory_order_release);
+    dials.fetch_add(1, std::memory_order_relaxed);
+    if (on_state) on_state(true);
+  }
+
+  bool on_frame(std::uint64_t, const FrameView& frame) override {
+    RequestMsg request;
+    ResponseMsg response;
+    // Only RESPONSE frames belong on a data-plane stream; anything else is
+    // a framing-level violation, so drop the connection.
+    if (decode_payload(frame.data, frame.size, request, response) !=
+        Decoded::kResponse) {
+      return false;
+    }
+    if (on_response) on_response(response);
+    return true;
+  }
+
+  void on_close(std::uint64_t, CloseCause) override {
+    conn = 0;
+    const bool was_up = up_token.exchange(0, std::memory_order_acq_rel) != 0;
+    if (was_up && on_state) on_state(false);
+    if (!running) return;
+    // A drop re-dials at once (end of this pass); a failed dial backs off.
+    if (was_up) {
+      schedule_redial(0);
+    } else {
+      back_off();
     }
   }
 };
 
 UpstreamConn::UpstreamConn(UpstreamConfig config, UpstreamResponseFn on_response,
                            UpstreamStateFn on_state)
-    : impl_(new Impl{}) {
-  impl_->config = std::move(config);
-  impl_->on_response = std::move(on_response);
-  impl_->on_state = std::move(on_state);
-}
+    : impl_(new Impl(nullptr, std::move(config), std::move(on_response),
+                     std::move(on_state))) {}
+
+UpstreamConn::UpstreamConn(Reactor& reactor, UpstreamConfig config,
+                           UpstreamResponseFn on_response,
+                           UpstreamStateFn on_state)
+    : impl_(new Impl(&reactor, std::move(config), std::move(on_response),
+                     std::move(on_state))) {}
 
 UpstreamConn::~UpstreamConn() {
   stop();
@@ -215,80 +131,47 @@ UpstreamConn::~UpstreamConn() {
 }
 
 void UpstreamConn::start() {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  if (impl_->running) return;
-  impl_->running = true;
-  impl_->reader = std::thread([this] { impl_->run(); });
+  if (impl_->own) impl_->own->start();
+  impl_->reactor->run([this] {
+    if (impl_->running) return;
+    impl_->running = true;
+    impl_->backoff_ms = impl_->config.backoff_initial_ms;
+    impl_->dial();
+  });
 }
 
 void UpstreamConn::stop() {
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    if (!impl_->running && !impl_->reader.joinable()) return;
+  impl_->reactor->run([this] {
     impl_->running = false;
-    // Wake a blocking read; the reader closes the fd itself.
-    if (impl_->fd >= 0) ::shutdown(impl_->fd, SHUT_RDWR);
-    impl_->cv.notify_all();
-  }
-  if (impl_->reader.joinable()) impl_->reader.join();
-}
-
-bool UpstreamConn::send_request(std::uint64_t request_id, std::uint64_t key,
-                                const obs::TraceContext& trace) {
-  std::vector<std::uint8_t> frame = global_buffer_pool().acquire();
-  encode_request(RequestMsg{request_id, key, trace}, frame);
-  std::unique_lock<std::mutex> lock(impl_->mu);
-  if (!impl_->up) {
-    lock.unlock();
-    global_buffer_pool().release(std::move(frame));
-    return false;
-  }
-  impl_->outq.push_back(std::move(frame));
-  if (impl_->writer_active) {
-    // The active drainer's next writev batches this frame; report queued
-    // as sent.  If the drain then fails, the frame dies with the
-    // connection and the drop signal re-forwards its hop — same outcome
-    // as a frame lost in the kernel buffer of a dying socket.
-    return true;
-  }
-  impl_->writer_active = true;
-  const bool ok = impl_->drain_outq(lock);
-  impl_->writer_active = false;
-  impl_->cv.notify_all();  // the reader may be waiting to close the fd
-  return ok;
+    if (impl_->redial != 0) {
+      impl_->reactor->cancel(impl_->redial);
+      impl_->redial = 0;
+    }
+    if (impl_->conn != 0) impl_->reactor->close(impl_->conn);
+  });
+  if (impl_->own) impl_->own->stop(0);
 }
 
 bool UpstreamConn::enqueue_request(std::uint64_t request_id, std::uint64_t key,
                                    const obs::TraceContext& trace) {
-  std::vector<std::uint8_t> frame = global_buffer_pool().acquire();
+  const std::uint64_t token = impl_->up_token.load(std::memory_order_acquire);
+  if (token == 0) return false;
+  thread_local std::vector<std::uint8_t> frame;
+  frame.clear();
   encode_request(RequestMsg{request_id, key, trace}, frame);
-  std::unique_lock<std::mutex> lock(impl_->mu);
-  if (!impl_->up) {
-    lock.unlock();
-    global_buffer_pool().release(std::move(frame));
-    return false;
-  }
-  impl_->outq.push_back(std::move(frame));
-  return true;
+  return impl_->reactor->send(token, frame.data(), frame.size(),
+                              /*wake=*/false);
 }
 
 bool UpstreamConn::flush() {
-  std::unique_lock<std::mutex> lock(impl_->mu);
-  if (impl_->outq.empty() || impl_->writer_active || !impl_->up) {
-    // An active drainer's next iovec chain picks the queue up; a down
-    // connection cleared it already (or will, in the reader's teardown).
-    return impl_->up;
-  }
-  impl_->writer_active = true;
-  const bool ok = impl_->drain_outq(lock);
-  impl_->writer_active = false;
-  impl_->cv.notify_all();  // the reader may be waiting to close the fd
-  return ok;
+  const std::uint64_t token = impl_->up_token.load(std::memory_order_acquire);
+  if (token == 0) return false;
+  if (impl_->reactor->in_loop()) return true;
+  return impl_->reactor->flush(token);
 }
 
 bool UpstreamConn::connected() const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->up;
+  return impl_->up_token.load(std::memory_order_acquire) != 0;
 }
 
 std::uint64_t UpstreamConn::reconnects() const {

@@ -1,20 +1,21 @@
 // Asynchronous multiplexed upstream connection: the router's data-plane
-// link to one backend.
+// link to one backend, registered on a net::Reactor (net/reactor.hpp).
 //
-// Unlike the blocking, single-threaded net::Client, an UpstreamConn is
-// written to from many threads (the router's reactor and its retry
-// sweeper) while a dedicated reader thread drains RESPONSE frames and
-// hands them to a callback — the connection multiplexes every in-flight
-// hop over one TCP stream, matched by the hop-level request id the router
-// assigned.
+// An UpstreamConn multiplexes every in-flight hop over one TCP stream,
+// matched by the hop-level request id the router assigned.  It owns no
+// thread.  Built on a shared reactor (a router passes its NetServer's), the
+// reactor's loop dials the backend, reads RESPONSE frames and hands them
+// to `on_response`, and writes queued REQUEST frames at the end of each
+// loop pass.  Built standalone, it gets a reactor of its own: the same code
+// on that reactor's loop thread.
 //
-// The reader thread also owns the connection lifecycle: it dials, backs
-// off on failure (bounded exponential, capped — never gives up while the
-// conn is running; the membership layer decides when a backend is "down"),
-// and re-dials after a drop.  State transitions are surfaced through the
-// `on_state` callback so the router can fail over in-flight hops the
-// moment a backend dies (a SIGKILL'd peer shows up here as EOF/RST long
-// before a heartbeat times out).
+// The loop also owns the connection lifecycle: it dials without blocking,
+// backs off on failure on a reactor timer (bounded exponential, capped —
+// never gives up while the conn is running; the membership layer decides
+// when a backend is "down"), and re-dials after a drop.  State transitions
+// are surfaced through `on_state` so the router can fail over in-flight
+// hops the moment a backend dies (a SIGKILL'd peer shows up here as
+// EOF/RST long before a heartbeat times out).
 #pragma once
 
 #include <cstdint>
@@ -25,6 +26,8 @@
 
 namespace rlb::net {
 
+class Reactor;
+
 struct UpstreamConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
@@ -33,46 +36,46 @@ struct UpstreamConfig {
   std::uint64_t backoff_max_ms = 2000;
 };
 
-/// Called from the reader thread for every RESPONSE frame.
+/// Called on the reactor's loop thread for every RESPONSE frame.
 using UpstreamResponseFn = std::function<void(const ResponseMsg&)>;
-/// Called from the reader thread on every connect (true) / drop (false).
+/// Called on the reactor's loop thread on every connect (true) / drop
+/// (false).  A dial that fails is not a drop: only a connection that came
+/// up and went away (or was stopped) reports false.
 using UpstreamStateFn = std::function<void(bool connected)>;
 
 class UpstreamConn {
  public:
+  /// Standalone: the connection runs on a reactor of its own.
   UpstreamConn(UpstreamConfig config, UpstreamResponseFn on_response,
                UpstreamStateFn on_state);
+  /// Shared: the connection runs on `reactor`, which must outlive it.
+  UpstreamConn(Reactor& reactor, UpstreamConfig config,
+               UpstreamResponseFn on_response, UpstreamStateFn on_state);
   ~UpstreamConn();
 
   UpstreamConn(const UpstreamConn&) = delete;
   UpstreamConn& operator=(const UpstreamConn&) = delete;
 
-  /// Launch the reader/reconnect thread.  Idempotent.
+  /// Start dialing (now, not on a later timer tick).  Idempotent.
   void start();
-  /// Tear the connection down and join the thread.  Idempotent.
+  /// Tear the connection down (on_state(false) fires if it was up) and
+  /// stop re-dialing; no callback runs after this returns.  Idempotent.
   void stop();
 
-  /// Write one REQUEST frame (thread-safe).  Returns false — without
-  /// blocking for a reconnect — when the connection is currently down;
-  /// the caller picks another backend or rejects.  A valid `trace`
-  /// context rides the frame's trace extension (see net/wire.hpp); the
-  /// default (invalid) context encodes the plain v1 frame.
-  bool send_request(std::uint64_t request_id, std::uint64_t key,
-                    const obs::TraceContext& trace = {});
-
   /// Queue one REQUEST frame WITHOUT draining (thread-safe).  Returns
-  /// false when the connection is currently down.  Pair with flush(): a
-  /// caller forwarding a burst enqueues every frame, then drains the
-  /// whole queue in one writev chain instead of one syscall per frame.
-  /// A queued frame whose eventual write fails dies with the connection
-  /// and is recovered by the drop signal — identical to the fate of a
-  /// frame queued behind an active send_request() drainer.
+  /// false when the connection is currently down; the caller picks
+  /// another backend or rejects.  A valid `trace` context rides the
+  /// frame's trace extension (see net/wire.hpp); the default (invalid)
+  /// context encodes the plain v1 frame.  On the reactor's loop thread
+  /// the frame leaves with the loop pass's end-of-pass write; from other
+  /// threads it waits for flush().  A queued frame whose write fails dies
+  /// with the connection and is recovered by the drop signal.
   bool enqueue_request(std::uint64_t request_id, std::uint64_t key,
                        const obs::TraceContext& trace = {});
 
-  /// Drain queued frames (no-op when the queue is empty, another drainer
-  /// is active, or the connection is down).  Returns false when a write
-  /// error tore the connection down mid-drain.
+  /// Send what other threads queued (one write for the whole burst, on
+  /// the loop thread).  A no-op on the loop thread, whose frames go out at
+  /// the end of the pass.  Returns false when the connection is down.
   bool flush();
 
   bool connected() const;

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <exception>
 #include <stdexcept>
+#include <string>
 
 #include "net/client.hpp"
 #include "obs/journal.hpp"
 #include "obs/span.hpp"
+#include "obs/thread_name.hpp"
 #include "obs/trace.hpp"
 
 namespace rlb::repair {
@@ -40,11 +42,17 @@ void RepairCoordinator::start() {
   if (!config_.enabled || started_) return;
   started_ = true;
   stopping_ = false;
-  planner_ = std::thread([this] { planner_loop(); });
+  planner_ = std::thread([this] {
+    obs::set_thread_name("rlb-repair-plan");
+    planner_loop();
+  });
   const unsigned n = std::max(1u, config_.max_concurrent);
   workers_.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, i] {
+      obs::set_thread_name("rlb-repair" + std::to_string(i));
+      worker_loop();
+    });
   }
 }
 

@@ -4,6 +4,7 @@
 #include <exception>
 
 #include "net/client.hpp"
+#include "obs/thread_name.hpp"
 
 namespace rlb::repair {
 
@@ -35,7 +36,10 @@ void MigrationAgent::start() {
   if (started_) return;
   started_ = true;
   stopping_ = false;
-  worker_ = std::thread([this] { worker_loop(); });
+  worker_ = std::thread([this] {
+    obs::set_thread_name("rlb-migrate");
+    worker_loop();
+  });
 }
 
 void MigrationAgent::stop() {

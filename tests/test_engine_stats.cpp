@@ -1,6 +1,7 @@
 // Tests for ServingEngine::snapshot() — the lock-free per-shard merge the
 // STATS wire channel serves — under the engine's real thread model, plus
-// the end-to-end STATS round-trip over a live NetServer.
+// the end-to-end STATS round-trip over a live NetServer, and the safe-set
+// journal edges the shard workers append with nobody scraping.
 //
 // The concurrency tests run scrapers against worker threads that are
 // mutating the shard atomics at full speed; they are meant to execute
@@ -22,6 +23,7 @@
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "net/stats.hpp"
+#include "obs/journal.hpp"
 
 namespace rlb {
 namespace {
@@ -270,6 +272,94 @@ TEST(EngineStatsSnapshot, SafeSetMonitorSeesInjectedBacklog) {
   }
   EXPECT_DOUBLE_EQ(snapshot.safe_worst_ratio, worst);
 }
+
+#if !defined(RLB_OBS_DISABLED)
+
+/// The safe-set edges journaled after `cursor`, in order.
+std::vector<obs::JournalType> safe_set_edges(std::uint64_t cursor) {
+  std::vector<obs::JournalEvent> events;
+  obs::Journal::instance().read_from(cursor, 4096, events);
+  std::vector<obs::JournalType> edges;
+  for (const obs::JournalEvent& event : events) {
+    if (event.type == obs::JournalType::kSafeSetViolated ||
+        event.type == obs::JournalType::kSafeSetRecovered) {
+      edges.push_back(event.type);
+    }
+  }
+  return edges;
+}
+
+TEST(EngineStatsSnapshot, CrashWaveJournalsSafeSetEdgesWithoutAScrape) {
+  // Two shards of four servers; a scripted wave crashes three servers in
+  // each at tick 1 and brings them back at tick 60, while a steady stream
+  // piles onto the survivors.  Nobody calls snapshot(): the workers alone
+  // must journal the violation and, once the backlog drains, the recovery.
+  engine::EngineConfig config;
+  config.policy = "greedy";
+  config.servers = 8;
+  config.replication = 2;
+  config.processing_rate = 1;
+  config.queue_capacity = 64;
+  config.shards = 2;
+  config.tick_interval_us = 5000;
+  config.seed = 5;
+  config.failure_spec =
+      "script:1,0,down;1,1,down;1,2,down;1,4,down;1,5,down;1,6,down;"
+      "60,0,up;60,1,up;60,2,up;60,4,up;60,5,up;60,6,up";
+  std::atomic<std::uint64_t> answered{0};
+  engine::ServingEngine engine(
+      config, [&answered](const engine::EngineResponse&) {
+        answered.fetch_add(1, std::memory_order_relaxed);
+      });
+  const std::uint64_t cursor = obs::Journal::instance().next_seq() - 1;
+  engine.start();
+
+  constexpr std::uint64_t kBursts = 40;
+  constexpr std::uint64_t kPerBurst = 40;
+  std::uint64_t id = 0;
+  for (std::uint64_t burst = 0; burst < kBursts; ++burst) {
+    for (std::uint64_t i = 0; i < kPerBurst; ++i, ++id) {
+      submit_one(engine, 0, id, id * 2654435761u);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::vector<obs::JournalType> edges;
+  while (std::chrono::steady_clock::now() < deadline) {
+    edges = safe_set_edges(cursor);
+    if (answered.load() == kBursts * kPerBurst && !edges.empty() &&
+        edges.back() == obs::JournalType::kSafeSetRecovered) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  engine.stop();
+  EXPECT_EQ(answered.load(), kBursts * kPerBurst);
+  ASSERT_GE(edges.size(), 2u) << "the wave must be journaled, unscraped";
+  EXPECT_EQ(edges.front(), obs::JournalType::kSafeSetViolated);
+  EXPECT_EQ(edges.back(), obs::JournalType::kSafeSetRecovered);
+  for (std::size_t i = 1; i < edges.size(); ++i) {
+    EXPECT_NE(edges[i], edges[i - 1]) << "one event per flip";
+  }
+}
+
+TEST(EngineStatsSnapshot, ScrapingAQuietEngineJournalsNothing) {
+  engine::ServingEngine engine(small_config(/*shards=*/2),
+                               [](const engine::EngineResponse&) {});
+  engine.start();
+  const std::uint64_t cursor = obs::Journal::instance().next_seq() - 1;
+  for (int i = 0; i < 100; ++i) {
+    const net::StatsSnapshot snapshot = engine.snapshot();
+    EXPECT_EQ(snapshot.safe_violated_level, 0u);
+  }
+  engine.stop();
+  std::vector<obs::JournalEvent> events;
+  obs::Journal::instance().read_from(cursor, 4096, events);
+  EXPECT_TRUE(events.empty()) << events.size() << " events journaled";
+}
+
+#endif  // !defined(RLB_OBS_DISABLED)
 
 }  // namespace
 }  // namespace rlb
