@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "core/metrics.hpp"
@@ -214,6 +217,56 @@ TEST(ServingEngine, RecoveryRestoresServers) {
   EXPECT_EQ(stats.crashes, 1u);
   EXPECT_EQ(stats.recoveries, 1u);
   EXPECT_EQ(stats.servers_down, 0u);
+}
+
+TEST(ServingEngine, FrozenQueueIsAnsweredBeforeStop) {
+  // Both servers of a one-shard engine freeze at tick 1 (no dump) and come
+  // back at tick 50.  Nobody submits after the one burst, so the shard
+  // itself must keep advancing its tick clock to the recovery: every
+  // request is answered while the engine is still running, not by the
+  // shutdown drain.
+  std::mutex mutex;
+  std::condition_variable answered_cv;
+  std::size_t answered = 0;
+  std::size_t served = 0;
+  EngineConfig config;
+  config.servers = 2;
+  config.replication = 2;
+  config.processing_rate = 1;
+  config.queue_capacity = 64;
+  config.max_batch = 64;
+  config.waiting_limit = 1024;
+  config.mapper = "range";
+  config.failure_spec = "script:1,0,down;1,1,down;50,0,up;50,1,up";
+  config.dump_queue_on_crash = false;
+  ServingEngine engine(config, [&](const EngineResponse& response) {
+    std::lock_guard lock(mutex);
+    ++answered;
+    if (response.status == kEngineOk) ++served;
+    answered_cv.notify_all();
+  });
+  engine.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // worker parks
+
+  constexpr std::size_t kRequests = 64;
+  std::vector<ServingEngine::SubmitItem> items;
+  for (std::uint64_t key = 0; key < kRequests; ++key) {
+    items.push_back({0, key, key, {}});
+  }
+  std::vector<std::size_t> rejected;
+  engine.submit_batch(items.data(), items.size(), rejected);
+  ASSERT_TRUE(rejected.empty());
+  {
+    std::unique_lock lock(mutex);
+    answered_cv.wait_for(lock, std::chrono::seconds(2),
+                         [&] { return answered == kRequests; });
+    EXPECT_EQ(answered, kRequests) << "answered before stop()";
+    EXPECT_EQ(served, kRequests);
+  }
+  engine.stop();
+  const net::ShardStats stats = engine.snapshot().totals();
+  EXPECT_EQ(stats.crashes, 2u);
+  EXPECT_EQ(stats.recoveries, 2u);
 }
 
 // -- parse_failure_spec ---------------------------------------------------
