@@ -14,7 +14,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -230,22 +229,26 @@ struct Pending {
   obs::TraceContext trace;
 };
 
+// A chunk's delivered requests, oldest first, and the last tick that put
+// the chunk in a batch (one delivery per chunk per tick).
+struct Inflight {
+  std::deque<Pending> queue;
+  std::uint64_t batched_tick = ~std::uint64_t{0};
+};
+
 }  // namespace
 
 struct ServingEngine::Impl {
-  // One worker thread owning a contiguous server partition and a private
-  // balancer over it.  Implements RequestSink to turn the balancer's
-  // chunk-level outcomes back into per-request responses via the per-chunk
-  // in-flight FIFO (sound because step() consumes distinct chunks and the
-  // balancer's queues are FIFO per chunk delivery order).
+  // One contiguous server partition with a private balancer over it, and
+  // the worker thread that drives its tick.  Implements RequestSink to turn
+  // the balancer's chunk-level outcomes back into per-request responses via
+  // the per-chunk in-flight FIFO (sound because step() consumes distinct
+  // chunks and the balancer's queues are FIFO per chunk delivery order).
   struct Shard final : core::RequestSink {
     Impl* owner = nullptr;
     std::size_t index = 0;
     core::ServerId base = 0;
     std::size_t server_span = 0;
-    std::unique_ptr<core::LoadBalancer> balancer;
-    std::unique_ptr<core::FailureSchedule> schedule;
-    core::Metrics metrics;
     std::thread thread;
 
     // Producer side (submit) — guarded by mutex.
@@ -253,17 +256,34 @@ struct ServingEngine::Impl {
     std::condition_variable cv;
     std::vector<Waiting> inbound;
     bool stopping = false;
+    // Set by a submitter whose inline ticks stopped on a tick without
+    // progress (a frozen queue): the worker takes the tick clock back.
+    bool handback = false;
 
-    // Worker-private state.
+    // Tick state — guarded by tick_mu (lock order: tick_mu, then mutex).
+    // Whoever runs tick() holds it: the worker, or a submit_batch() caller
+    // of a one-shard, unpaced engine.
+    std::mutex tick_mu;
+    std::unique_ptr<core::LoadBalancer> balancer;
+    std::unique_ptr<core::FailureSchedule> schedule;
+    core::Metrics metrics;
     std::deque<Waiting> waiting;
-    std::unordered_map<core::ChunkId, std::deque<Pending>> inflight;
+    std::unordered_map<core::ChunkId, Inflight> inflight;
     std::vector<std::uint8_t> up_state;
-    std::uint64_t tick = 0;
+    std::uint64_t tick_clock = 0;  // ticks run; the failure schedule's clock
+    std::uint64_t balancer_backlog = 0;  // as of the end of the last tick
     // Shed journal rate limit: at most one kShed event per shard per
     // ~100 ms, so an overload storm reports without flooding the ring.
     std::uint64_t last_shed_journal_ns = 0;
+    // Per-tick scratch, cleared as it is reused: a warm tick allocates
+    // none of it.
+    std::vector<Waiting> incoming;
+    std::vector<Waiting> deferred;  // duplicate chunks -> next tick
+    std::vector<core::ChunkId> batch;
+    std::vector<core::FailureTransition> transitions;
+    std::vector<std::uint32_t> backlog_scratch;
 
-    // Live counters (worker writes, snapshot() reads).  The STATS plane
+    // Live counters (the tick writes, snapshot() reads).  The STATS plane
     // reads these directly, so they stay live with obs compiled out.
     std::atomic<std::uint64_t> submitted{0};
     std::atomic<std::uint64_t> completed{0};
@@ -301,7 +321,6 @@ struct ServingEngine::Impl {
     // scrape-side safe-set monitor merges these across shards to rebuild
     // the global backlog vector without touching any worker lock.
     std::unique_ptr<std::atomic<std::uint32_t>[]> backlog_by_server;
-    std::vector<std::uint32_t> backlog_scratch;  // worker-private
 
     void record_latency(std::uint64_t submit_ns);
 
@@ -393,23 +412,38 @@ struct ServingEngine::Impl {
 
     bool pop_pending(core::ChunkId x, Pending& out) {
       const auto it = inflight.find(x);
-      if (it == inflight.end() || it->second.empty()) {
+      if (it == inflight.end() || it->second.queue.empty()) {
         // A sink event with no matching delivery would mean the balancer
         // broke the one-event-per-request contract; count, don't crash.
         sink_orphans.fetch_add(1, std::memory_order_relaxed);
         return false;
       }
-      out = it->second.front();
-      it->second.pop_front();
-      if (it->second.empty()) inflight.erase(it);
+      out = it->second.queue.front();
+      it->second.queue.pop_front();
+      if (it->second.queue.empty()) inflight.erase(it);
       inflight_count.fetch_sub(1, std::memory_order_relaxed);
       return true;
     }
 
+    struct TickResult {
+      // The tick took inbound requests, routed a batch or shrank the
+      // balancer backlog.
+      bool progressed = false;
+      // Nothing is left in the waiting room or the balancer's queues.
+      bool settled = false;
+    };
+
+    /// The worker thread: waits for work, paces, and drains at shutdown;
+    /// every tick it runs is tick().
     void run();
+    /// One drain tick, the paper's step.  Caller holds tick_mu.
+    TickResult tick();
+    /// Tick on the calling thread until the shard settles, or until a tick
+    /// makes no progress (a frozen queue), which hands the tick clock back
+    /// to the worker.  False when another thread holds the tick.
+    bool tick_inline();
     void apply_failures();
-    std::size_t build_batch(std::vector<core::ChunkId>& batch,
-                            std::size_t max_batch);
+    std::size_t build_batch();
   };
 
   EngineConfig config;
@@ -418,6 +452,8 @@ struct ServingEngine::Impl {
   std::uint64_t shard_hash_seed = 0;
   std::size_t max_batch = 0;
   std::size_t waiting_limit = 0;
+  // One shard, no pacing: submit_batch() callers drive the tick.
+  bool inline_tick = false;
   std::vector<std::unique_ptr<Shard>> shards;
   std::atomic<bool> accepting{false};
   // Repair plane (StatsSnapshot v4): the placement epoch last heard on a
@@ -440,10 +476,10 @@ struct ServingEngine::Impl {
   static constexpr std::size_t kWinRejected = 2;
   obs::WindowedAggregator win_latency;
   obs::WindowedAggregator win_queue_wait;
-  // Safe-set monitor (Def 3.2).  The shard workers evaluate the invariant
-  // from the backlog_by_server samples they refresh every tick, at most
-  // once per kSafeCheckNs (the worker whose CAS claims the deadline does
-  // it), and journal one event per flip.  snapshot() only reports, so what
+  // Safe-set monitor (Def 3.2).  The shard ticks evaluate the invariant
+  // from the backlog_by_server samples they refresh, at most once per
+  // kSafeCheckNs (the tick whose CAS claims the deadline does it), and
+  // journal one event per flip.  snapshot() only reports, so what
   // reaches the journal does not depend on who scrapes, or when.
   static constexpr std::uint64_t kSafeCheckNs = 100'000'000;
   std::atomic<std::uint64_t> safe_check_due_ns{0};
@@ -465,9 +501,9 @@ struct ServingEngine::Impl {
     return core::safe_set_levels(backlogs);
   }
 
-  /// Called by every shard worker each tick; journals the invariant's
-  /// edges.  Ratio travels in parts-per-million (the journal carries
-  /// integers).
+  /// Called by every shard tick (and by an idle worker while violated);
+  /// journals the invariant's edges.  Ratio travels in parts-per-million
+  /// (the journal carries integers).
   void check_safe_set() {
     const std::uint64_t now = obs::now_ns();
     std::uint64_t due = safe_check_due_ns.load(std::memory_order_relaxed);
@@ -511,8 +547,9 @@ void ServingEngine::Impl::Shard::record_queue_wait(std::uint64_t wait_ns) {
 
 void ServingEngine::Impl::Shard::apply_failures() {
   if (!schedule) return;
-  std::vector<core::FailureTransition> transitions;
-  schedule->transitions(static_cast<core::Time>(tick), up_state, transitions);
+  transitions.clear();
+  schedule->transitions(static_cast<core::Time>(tick_clock), up_state,
+                        transitions);
   for (const auto& transition : transitions) {
     if (transition.server >= server_span) continue;
     const bool was_up = up_state[transition.server] != 0;
@@ -522,7 +559,7 @@ void ServingEngine::Impl::Shard::apply_failures() {
     // reject those requests now so every client still gets an answer.
     const bool dump = owner->config.dump_queue_on_crash ||
                       !schedule->recovers(transition.server,
-                                          static_cast<core::Time>(tick));
+                                          static_cast<core::Time>(tick_clock));
     balancer->set_server_up(transition.server, transition.up, dump, metrics);
     if (transition.up) {
       recoveries.fetch_add(1, std::memory_order_relaxed);
@@ -534,33 +571,34 @@ void ServingEngine::Impl::Shard::apply_failures() {
   }
 }
 
-std::size_t ServingEngine::Impl::Shard::build_batch(
-    std::vector<core::ChunkId>& batch, std::size_t max_batch) {
+std::size_t ServingEngine::Impl::Shard::build_batch() {
   batch.clear();
-  std::unordered_set<core::ChunkId> in_batch;
-  std::vector<Waiting> deferred;  // duplicate chunks -> next tick
+  deferred.clear();
   // One clock read covers every delivery this tick; queue wait is
   // submit_batch() -> here (MPSC queue + waiting room).
   const std::uint64_t deliver_ns = waiting.empty() ? 0 : obs::now_ns();
-  while (!waiting.empty() && batch.size() < max_batch) {
+  while (!waiting.empty() && batch.size() < owner->max_batch) {
     Waiting request = waiting.front();
     waiting.pop_front();
-    if (!in_batch.insert(request.chunk).second) {
+    Inflight& entry = inflight[request.chunk];
+    if (entry.batched_tick == tick_clock) {
       deferred.push_back(request);
       continue;
     }
+    entry.batched_tick = tick_clock;
     batch.push_back(request.chunk);
     Pending pending;
     pending.conn_token = request.conn_token;
     pending.request_id = request.request_id;
-    pending.waited = static_cast<std::uint32_t>(tick - request.enqueue_tick);
+    pending.waited =
+        static_cast<std::uint32_t>(tick_clock - request.enqueue_tick);
     pending.submit_ns = request.submit_ns;
     pending.queue_depth = request.queue_depth;
     pending.trace = request.trace;
     if (request.submit_ns != 0 && deliver_ns > request.submit_ns) {
       record_queue_wait(deliver_ns - request.submit_ns);
     }
-    inflight[request.chunk].push_back(pending);
+    entry.queue.push_back(pending);
     inflight_count.fetch_add(1, std::memory_order_relaxed);
   }
   // Deferred requests keep their arrival-order priority.
@@ -568,33 +606,121 @@ std::size_t ServingEngine::Impl::Shard::build_batch(
   return batch.size();
 }
 
+ServingEngine::Impl::Shard::TickResult ServingEngine::Impl::Shard::tick() {
+  std::size_t drained = 0;
+  {
+    std::lock_guard lock(mutex);
+    incoming.swap(inbound);
+    drained = incoming.size();
+  }
+  if (drained > 0) {
+    inbound_depth.fetch_sub(drained, std::memory_order_relaxed);
+  }
+
+  // Admission control: the waiting room bounds pre-routing memory; an
+  // overflowing arrival is the engine's own rejection, before the policy
+  // ever sees it.
+  for (const Waiting& request : incoming) {
+    if (waiting.size() >= owner->waiting_limit) {
+      const std::uint64_t sheds =
+          rejected_admission.fetch_add(1, std::memory_order_relaxed) + 1;
+      owner->win_latency.add(Impl::kWinRejected);
+      const std::uint64_t shed_now = obs::now_ns();
+      if (shed_now - last_shed_journal_ns > 100'000'000) {
+        last_shed_journal_ns = shed_now;
+        obs::Journal::instance().append(obs::JournalType::kShed, index, sheds);
+      }
+      EngineResponse response;
+      response.conn_token = request.conn_token;
+      response.request_id = request.request_id;
+      response.status = kEngineReject;
+      record_latency(request.submit_ns);
+      record_span(request.trace, request.submit_ns, waiting.size(),
+                  kEngineReject);
+      owner->respond(response);
+      continue;
+    }
+    Waiting admitted = request;
+    admitted.enqueue_tick = tick_clock;
+    admitted.queue_depth = waiting.size();
+    waiting.push_back(admitted);
+  }
+  incoming.clear();
+
+  apply_failures();
+
+  const std::size_t batch_size = build_batch();
+  waiting_depth.store(waiting.size(), std::memory_order_relaxed);
+  if (batch_size > 0 || balancer_backlog > 0) {
+    const std::uint64_t step_start = obs::now_ns();
+    balancer->step(static_cast<core::Time>(tick_clock), batch, metrics);
+    const std::uint64_t step_time = obs::now_ns() - step_start;
+    step_ns.fetch_add(step_time, std::memory_order_relaxed);
+    step_hist.record(step_time);
+  }
+  if (batch_size > 0) {
+    batch_hist.record(batch_size);
+    batches.fetch_add(1, std::memory_order_relaxed);
+    batched_chunks.fetch_add(batch_size, std::memory_order_relaxed);
+    std::uint64_t prev = max_batch_seen.load(std::memory_order_relaxed);
+    while (batch_size > prev &&
+           !max_batch_seen.compare_exchange_weak(
+               prev, batch_size, std::memory_order_relaxed)) {
+    }
+  }
+  ++tick_clock;
+  ticks.fetch_add(1, std::memory_order_relaxed);
+
+  // Refresh the per-server backlog view (feeds the safe-set monitor) and
+  // derive the total from the same sample.
+  const std::uint64_t backlog_before = balancer_backlog;
+  balancer->backlogs(backlog_scratch);
+  balancer_backlog = 0;
+  for (std::size_t s = 0; s < backlog_scratch.size(); ++s) {
+    backlog_by_server[s].store(backlog_scratch[s], std::memory_order_relaxed);
+    balancer_backlog += backlog_scratch[s];
+  }
+  backlog.store(balancer_backlog, std::memory_order_relaxed);
+  owner->check_safe_set();
+
+  TickResult result;
+  result.progressed =
+      drained > 0 || batch_size > 0 || balancer_backlog < backlog_before;
+  result.settled = waiting.empty() && balancer_backlog == 0;
+  return result;
+}
+
+bool ServingEngine::Impl::Shard::tick_inline() {
+  std::unique_lock tick_lock(tick_mu, std::try_to_lock);
+  if (!tick_lock.owns_lock()) return false;
+  for (;;) {
+    const TickResult result = tick();
+    std::lock_guard lock(mutex);
+    if (result.settled && inbound.empty()) return true;
+    if (!result.progressed) {
+      handback = true;
+      cv.notify_one();
+      return true;
+    }
+  }
+}
+
 void ServingEngine::Impl::Shard::run() {
-  std::vector<core::ChunkId> batch;
-  std::vector<Waiting> incoming;
   const std::uint64_t interval_us = owner->config.tick_interval_us;
   auto next_tick = std::chrono::steady_clock::now();
-  std::uint64_t last_backlog = 0;
-  bool last_backlog_valid = false;
+  // What the last tick this thread ran left behind.  A submitter may tick
+  // in between: if it settles the shard, this thread runs one empty tick;
+  // if it leaves work, it sets handback.
+  bool settled = true;
 
   for (;;) {
-    // Refresh the per-server backlog view (feeds the safe-set monitor) and
-    // derive the total from the same sample.
-    balancer->backlogs(backlog_scratch);
-    std::uint64_t balancer_backlog = 0;
-    for (std::size_t s = 0; s < backlog_scratch.size(); ++s) {
-      backlog_by_server[s].store(backlog_scratch[s],
-                                 std::memory_order_relaxed);
-      balancer_backlog += backlog_scratch[s];
-    }
-    backlog.store(balancer_backlog, std::memory_order_relaxed);
-    owner->check_safe_set();
     bool shutting_down = false;
-    std::size_t drained = 0;
     {
       std::unique_lock lock(mutex);
-      if (inbound.empty() && !stopping && waiting.empty() &&
-          balancer_backlog == 0) {
-        const auto woken = [&] { return !inbound.empty() || stopping; };
+      const auto woken = [&] {
+        return !inbound.empty() || stopping || handback;
+      };
+      if (settled && !woken()) {
         if (!owner->safe_violated.load(std::memory_order_relaxed)) {
           cv.wait(lock, woken);
         } else if (!cv.wait_for(lock,
@@ -603,104 +729,48 @@ void ServingEngine::Impl::Shard::run() {
           // Idle while the invariant is last known violated: come back
           // when the next evaluation is due, so the recovery is journaled
           // even if no request ever arrives.
+          lock.unlock();
+          owner->check_safe_set();
           continue;
         }
       }
-      incoming.swap(inbound);
+      handback = false;
       shutting_down = stopping;
-      drained = incoming.size();
-    }
-    if (drained > 0) {
-      inbound_depth.fetch_sub(drained, std::memory_order_relaxed);
     }
 
-    // Admission control: the waiting room bounds pre-routing memory; an
-    // overflowing arrival is the engine's own rejection, before the
-    // policy ever sees it.
-    for (const Waiting& request : incoming) {
-      if (waiting.size() >= owner->waiting_limit) {
-        const std::uint64_t sheds =
-            rejected_admission.fetch_add(1, std::memory_order_relaxed) + 1;
-        owner->win_latency.add(Impl::kWinRejected);
-        const std::uint64_t shed_now = obs::now_ns();
-        if (shed_now - last_shed_journal_ns > 100'000'000) {
-          last_shed_journal_ns = shed_now;
-          obs::Journal::instance().append(obs::JournalType::kShed, index,
-                                          sheds);
+    {
+      std::lock_guard tick_lock(tick_mu);
+      const TickResult result = tick();
+      settled = result.settled;
+      if (shutting_down) {
+        bool inbound_empty = false;
+        {
+          std::lock_guard lock(mutex);
+          inbound_empty = inbound.empty();
         }
-        EngineResponse response;
-        response.conn_token = request.conn_token;
-        response.request_id = request.request_id;
-        response.status = kEngineReject;
-        record_latency(request.submit_ns);
-        record_span(request.trace, request.submit_ns, waiting.size(),
-                    kEngineReject);
-        owner->respond(response);
-        continue;
-      }
-      Waiting admitted = request;
-      admitted.enqueue_tick = tick;
-      admitted.queue_depth = waiting.size();
-      waiting.push_back(admitted);
-    }
-    incoming.clear();
-
-    apply_failures();
-
-    const std::size_t batch_size = build_batch(batch, owner->max_batch);
-    waiting_depth.store(waiting.size(), std::memory_order_relaxed);
-    if (batch_size > 0 || balancer_backlog > 0) {
-      const std::uint64_t step_start = obs::now_ns();
-      balancer->step(static_cast<core::Time>(tick), batch, metrics);
-      const std::uint64_t step_time = obs::now_ns() - step_start;
-      step_ns.fetch_add(step_time, std::memory_order_relaxed);
-      step_hist.record(step_time);
-    }
-    if (batch_size > 0) {
-      batch_hist.record(batch_size);
-      batches.fetch_add(1, std::memory_order_relaxed);
-      batched_chunks.fetch_add(batch_size, std::memory_order_relaxed);
-      std::uint64_t prev = max_batch_seen.load(std::memory_order_relaxed);
-      while (batch_size > prev &&
-             !max_batch_seen.compare_exchange_weak(
-                 prev, batch_size, std::memory_order_relaxed)) {
-      }
-    }
-    ++tick;
-    ticks.fetch_add(1, std::memory_order_relaxed);
-
-    if (shutting_down) {
-      std::unique_lock lock(mutex);
-      const bool drained =
-          inbound.empty() && waiting.empty() && balancer->total_backlog() == 0;
-      if (drained) break;
-      // Progress detection: with every remaining server down (or a policy
-      // that cannot drain), backlog freezes — flush rejects the residue so
-      // every client still gets an answer before the thread exits.
-      const std::uint64_t now_backlog = balancer->total_backlog();
-      if (batch_size == 0 && last_backlog_valid && now_backlog == last_backlog &&
-          inbound.empty()) {
-        lock.unlock();
-        balancer->flush(metrics);
-        for (auto& [chunk, queue] : inflight) {
-          // Anything the balancer could not attribute (sink unsupported
-          // paths) is answered as rejected rather than leaked: a drain
-          // flush, so it counts as a drop.
-          for (const Pending& pending : queue) {
-            rejected_drop.fetch_add(1, std::memory_order_relaxed);
-            reject_pending(pending);
+        if (result.settled && inbound_empty) break;
+        if (!result.progressed && inbound_empty) {
+          // With every remaining server down (or a policy that cannot
+          // drain), the backlog freezes: flush rejects the residue so
+          // every client still gets an answer before the thread exits.
+          balancer->flush(metrics);
+          for (auto& [chunk, entry] : inflight) {
+            // Anything the balancer could not attribute (sink unsupported
+            // paths) is answered as rejected rather than leaked: a drain
+            // flush, so it counts as a drop.
+            for (const Pending& pending : entry.queue) {
+              rejected_drop.fetch_add(1, std::memory_order_relaxed);
+              reject_pending(pending);
+            }
+            inflight_count.fetch_sub(entry.queue.size(),
+                                     std::memory_order_relaxed);
           }
-          inflight_count.fetch_sub(queue.size(), std::memory_order_relaxed);
-          queue.clear();
+          inflight.clear();
+          break;
         }
-        inflight.clear();
-        break;
+        continue;  // keep draining as fast as possible, skip pacing
       }
-      last_backlog = now_backlog;
-      last_backlog_valid = true;
-      continue;  // keep draining as fast as possible, skip pacing
     }
-    last_backlog_valid = false;
 
     if (interval_us > 0) {
       next_tick += std::chrono::microseconds(interval_us);
@@ -794,6 +864,7 @@ ServingEngine::ServingEngine(const EngineConfig& config, ResponseFn on_response)
     }
     impl_->waiting_limit =
         config.waiting_limit ? config.waiting_limit : 8 * impl_->max_batch;
+    impl_->inline_tick = shard_count == 1 && config.tick_interval_us == 0;
   } catch (...) {
     delete impl_;
     throw;
@@ -886,7 +957,11 @@ void ServingEngine::submit_batch(const SubmitItem* items, std::size_t count,
       shard.submitted.fetch_add(n, std::memory_order_relaxed);
       shard.inbound_depth.fetch_add(n, std::memory_order_relaxed);
       impl_->win_latency.add(Impl::kWinSubmitted, n, now);
-      if (was_empty) shard.cv.notify_one();
+      // A caller that loses the tick to another thread leaves its items to
+      // that thread's next tick, or wakes the worker for the first items
+      // of an empty queue (the holder may be past its last look at it).
+      const bool ticked = impl_->inline_tick && shard.tick_inline();
+      if (!ticked && was_empty) shard.cv.notify_one();
     } else {
       for (const BatchEntry& entry : groups[s]) {
         rejected.push_back(entry.index);

@@ -3,23 +3,31 @@
 //
 // The simulator is step-synchronous and single-threaded per trial; the
 // engine runs the SAME policy objects under real concurrency by sharding.
-// The m servers split into `shards` contiguous partitions, each owned by
-// one worker thread with its own embedded core::LoadBalancer over the
+// The m servers split into `shards` contiguous partitions, each with one
+// worker thread and its own embedded core::LoadBalancer over the
 // partition.  Chunks hash to shards, so a shard's balancer sees exactly
-// the model it was built for: a private set of servers, one thread,
-// distinct chunks per step.
+// the model it was built for: a private set of servers, one ticking thread
+// at a time, distinct chunks per step.
 //
 // Request path:  GET(key) -> store::KeyMapper -> chunk -> shard (seeded
-// hash) -> the shard's MPSC inbound queue.  The worker repeats a drain
-// clock: swap the inbound queue, admit into a bounded waiting room
-// (overflow = immediate REJECT — admission control ahead of routing),
-// assemble a micro-batch of DISTINCT chunks (duplicates wait for the next
-// tick, preserving the model's distinct-chunks-per-step contract), and run
-// one LoadBalancer::step(), which routes the batch and applies g service
-// per server.  The paper's bounded queue q turns into protocol-level
+// hash) -> the shard's MPSC inbound queue.  Each drain tick swaps the
+// inbound queue, admits into a bounded waiting room (overflow = immediate
+// REJECT — admission control ahead of routing), assembles a micro-batch of
+// DISTINCT chunks (duplicates wait for the next tick, preserving the
+// model's distinct-chunks-per-step contract), and runs one
+// LoadBalancer::step(), which routes the batch and applies g service per
+// server.  The paper's bounded queue q turns into protocol-level
 // backpressure: a full queue rejects the arrival, and the installed
 // core::RequestSink converts that into a REJECT response for the exact
 // client waiting on it.
+//
+// Who ticks: with one shard and tick_interval_us == 0, the thread calling
+// submit_batch() runs the ticks itself until the shard settles (under
+// rlbd, the NetServer reactor, so responses leave with no cross-thread
+// hand-off).  The shard's worker takes over when a tick makes no progress
+// (a queue frozen on crashed servers needs the tick clock advanced), when
+// another thread holds the tick, and for the shutdown drain.  Multi-shard
+// and paced engines tick on their workers only.
 //
 // Failure schedules (core::FailureSchedule) run live: each shard consults
 // its slice of the schedule at every tick boundary and applies crash /
@@ -86,8 +94,11 @@ struct EngineConfig {
   std::uint32_t backend_id = 0;
 };
 
-/// One answered request, delivered to the ResponseFn from a shard worker
-/// thread (thread-safe delivery is the callback's responsibility).
+/// One answered request, delivered to the ResponseFn from whichever thread
+/// runs the shard's tick: a shard worker, or — for a one-shard engine with
+/// no tick pacing — the thread calling submit_batch(), before that call
+/// returns.  Thread-safe delivery is the callback's responsibility, and the
+/// callback must not call submit_batch() itself.
 struct EngineResponse {
   std::uint64_t conn_token = 0;
   std::uint64_t request_id = 0;
@@ -144,8 +155,11 @@ class ServingEngine {
 
   /// Route GET(key) for a server wakeup's worth of requests — the one
   /// entry point.  Items are grouped by destination shard so each shard's
-  /// mutex is taken — and its worker woken — at most once per call.  A
-  /// valid trace context rides its request through the MPSC queue and
+  /// mutex is taken — and its worker woken — at most once per call.  An
+  /// engine with one shard and no tick pacing runs the drain ticks in this
+  /// call instead of waking its worker (unless another thread holds the
+  /// tick), so ResponseFn may run on the calling thread before it returns.
+  /// A valid trace context rides its request through the MPSC queue and
   /// waiting room into the drain tick, and an `engine.request` span
   /// (parented to it) lands in the SpanRecorder when the response is
   /// delivered.  Indices of items that were NOT admitted (engine not

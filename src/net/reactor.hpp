@@ -12,7 +12,7 @@
 // Writes are batched per loop pass.  send() called ON the loop thread
 // appends the bytes to the connection's loop-owned drain buffer and lists
 // the connection dirty — no lock, no atomic.  send() from ANY OTHER thread
-// (an engine shard worker answering a request) appends to a small
+// (a multi-shard engine's worker answering a request) appends to a small
 // per-connection staging buffer under that connection's own mutex, flags the
 // connection dirty and wakes the loop through the pipe on the clean->dirty
 // edge, and only when the loop is asleep.  At the end of every pass the loop

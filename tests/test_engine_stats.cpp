@@ -48,10 +48,13 @@ void submit_one(engine::ServingEngine& engine, std::uint64_t conn_token,
   engine.submit_batch(&item, 1, rejected);
 }
 
-TEST(EngineStatsSnapshot, ConcurrentScrapeSeesMonotoneCounters) {
+/// Three submitters and a scraper against a running engine.  With one
+/// shard the submitters race each other for the tick itself; with four
+/// the shard workers tick.
+void concurrent_scrape_sees_monotone_counters(std::size_t shards) {
   std::atomic<std::uint64_t> responses{0};
   engine::ServingEngine engine(
-      small_config(/*shards=*/4),
+      small_config(shards),
       [&responses](const engine::EngineResponse&) {
         responses.fetch_add(1, std::memory_order_relaxed);
       });
@@ -127,6 +130,59 @@ TEST(EngineStatsSnapshot, ConcurrentScrapeSeesMonotoneCounters) {
   EXPECT_GE(final_snapshot.step_ns.count, totals.batches);
   // Latency was recorded for every answered request.
   EXPECT_EQ(final_snapshot.latency.count, expected);
+}
+
+TEST(EngineStatsSnapshot, ConcurrentScrapeSeesMonotoneCounters) {
+  concurrent_scrape_sees_monotone_counters(/*shards=*/4);
+}
+
+TEST(EngineStatsSnapshot, ConcurrentScrapeSeesMonotoneCountersOneShard) {
+  concurrent_scrape_sees_monotone_counters(/*shards=*/1);
+}
+
+TEST(EngineStatsSnapshot, OneShardUnpacedEngineAnswersOnTheSubmittingThread) {
+  // Where the ResponseFn runs: an unpaced one-shard engine ticks on the
+  // thread that calls submit_batch(), so every answer is delivered there,
+  // before the call returns.  Four shards, or a paced clock, answer from
+  // the shard workers.
+  struct Case {
+    std::size_t shards;
+    std::uint64_t tick_interval_us;
+    bool on_submitter;
+  };
+  for (const Case& c : {Case{1, 0, true}, Case{4, 0, false},
+                        Case{1, 100, false}}) {
+    SCOPED_TRACE(testing::Message() << c.shards << " shard(s), tick every "
+                                    << c.tick_interval_us << " us");
+    engine::EngineConfig config = small_config(c.shards);
+    config.tick_interval_us = c.tick_interval_us;
+    const std::thread::id submitter = std::this_thread::get_id();
+    std::atomic<std::uint64_t> answered{0};
+    std::atomic<std::uint64_t> on_submitter{0};
+    engine::ServingEngine engine(
+        config, [&](const engine::EngineResponse&) {
+          if (std::this_thread::get_id() == submitter) {
+            on_submitter.fetch_add(1, std::memory_order_relaxed);
+          }
+          answered.fetch_add(1, std::memory_order_release);
+        });
+    engine.start();
+    // Let the workers park first, so none is awake when the work arrives.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    constexpr std::uint64_t kRequests = 200;
+    for (std::uint64_t i = 0; i < kRequests; ++i) {
+      submit_one(engine, 0, i, i * 2654435761u);
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (answered.load(std::memory_order_acquire) < kRequests &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(answered.load(), kRequests);
+    EXPECT_EQ(on_submitter.load(), c.on_submitter ? kRequests : 0u);
+    engine.stop();
+  }
 }
 
 TEST(EngineStatsSnapshot, ReportsConfigAndSafeSetShape) {
