@@ -3,8 +3,8 @@
 // flag, defaults are sensible, output is one summary table.
 //
 //   $ ./policy_explorer                                  # defaults
-//   $ ./policy_explorer --policy delayed-cuckoo --workload zipf \
-//         --servers 4096 --steps 500 --g 16 --seed 3
+//   $ ./policy_explorer --policy delayed-cuckoo --workload zipf
+//         --servers 4096 --steps 500 --g 16 --seed 3     (one command)
 //   $ ./policy_explorer --policy all --workload repeated
 //
 // Flags: see --help.

@@ -53,6 +53,15 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+/// `s` as a JSON string literal.  Appended piecewise: GCC 12 reports a
+/// false -Wrestrict on `"\"" + std::string&&`.
+std::string json_quote(const std::string& s) {
+  std::string out(1, '"');
+  out += json_escape(s);
+  out += '"';
+  return out;
+}
+
 /// Encode a table cell: numeric cells become JSON numbers, the rest quoted
 /// strings (so downstream tooling gets real numbers without a parser).
 std::string json_cell(const std::string& cell) {
@@ -72,7 +81,7 @@ std::string json_cell(const std::string& cell) {
       return cell;  // a valid JSON number literal as-is
     }
   }
-  return "\"" + json_escape(cell) + "\"";
+  return json_quote(cell);
 }
 
 void write_json_at_exit() { write_json(); }
@@ -188,7 +197,7 @@ void set_json_experiment(const std::string& id) { g_json_experiment = id; }
 
 void json_value(const std::string& key, const std::string& value) {
   if (!json_enabled()) return;
-  g_json_values.emplace_back(key, "\"" + json_escape(value) + "\"");
+  g_json_values.emplace_back(key, json_quote(value));
 }
 
 void json_value(const std::string& key, double value) {

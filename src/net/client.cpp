@@ -88,7 +88,7 @@ void Client::set_recv_timeout_ms(std::uint64_t ms) {
 }
 
 void Client::send_request(std::uint64_t request_id, std::uint64_t key) {
-  encode_request(RequestMsg{request_id, key}, send_buffer_);
+  encode_request(RequestMsg{request_id, key, {}}, send_buffer_);
 }
 
 void Client::send_request(std::uint64_t request_id, std::uint64_t key,

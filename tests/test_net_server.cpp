@@ -65,7 +65,7 @@ TEST(NetServer, SlowConsumerIsDisconnected) {
   // the connection's outbound queue must blow through the cap.
   std::vector<std::uint8_t> wire;
   for (std::uint64_t i = 0; i < 2000; ++i) {
-    encode_request(RequestMsg{i, i}, wire);
+    encode_request(RequestMsg{i, i, {}}, wire);
   }
   bool disconnected = false;
   const auto deadline = std::chrono::steady_clock::now() + 10s;

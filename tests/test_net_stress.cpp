@@ -104,7 +104,7 @@ void good_client(std::uint16_t port, std::uint64_t id_base,
   }
   std::vector<std::uint8_t> wire;
   for (std::uint64_t i = 0; i < quota; ++i) {
-    encode_request(RequestMsg{id_base + i, i * 7}, wire);
+    encode_request(RequestMsg{id_base + i, i * 7, {}}, wire);
   }
   // Writer thread feeds 3-byte fragments while this thread reads, so the
   // stream stays fragmented even once responses start flowing back.
@@ -169,7 +169,7 @@ void aborting_client(std::uint16_t port, std::uint64_t id_base,
   }
   std::vector<std::uint8_t> wire;
   for (std::uint64_t i = 0; i < quota; ++i) {
-    encode_request(RequestMsg{id_base + i, i}, wire);
+    encode_request(RequestMsg{id_base + i, i, {}}, wire);
   }
   ::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL);
   // RST instead of FIN: pending server writes fail abruptly.

@@ -9,10 +9,10 @@ namespace {
 using Edges = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
 
 TEST(PlacementGraph, RejectsBadInput) {
-  EXPECT_THROW(analyze_edge_list({}, 0), std::invalid_argument);
-  EXPECT_THROW(analyze_edge_list({{0, 5}}, 4), std::out_of_range);
+  EXPECT_THROW((void)analyze_edge_list({}, 0), std::invalid_argument);
+  EXPECT_THROW((void)analyze_edge_list({{0, 5}}, 4), std::out_of_range);
   const Placement d3(8, 3, 1);
-  EXPECT_THROW(analyze_placement_graph(d3, 4), std::invalid_argument);
+  EXPECT_THROW((void)analyze_placement_graph(d3, 4), std::invalid_argument);
 }
 
 TEST(PlacementGraph, EmptyGraphIsAllIsolatedTrees) {

@@ -12,7 +12,7 @@ namespace rlb::net {
 namespace {
 
 TEST(Wire, RequestRoundTrips) {
-  const RequestMsg original{0x0123456789abcdefULL, 0xfedcba9876543210ULL};
+  const RequestMsg original{0x0123456789abcdefULL, 0xfedcba9876543210ULL, {}};
   std::vector<std::uint8_t> wire;
   encode_request(original, wire);
   ASSERT_EQ(wire.size(), 4 + kRequestPayloadSize);
@@ -63,7 +63,7 @@ TEST(Wire, DecodeRejectsBadPayloads) {
             Decoded::kMalformed);
   // Right type, wrong size.
   std::vector<std::uint8_t> wire;
-  encode_request(RequestMsg{1, 2}, wire);
+  encode_request(RequestMsg{1, 2, {}}, wire);
   EXPECT_EQ(decode_payload(wire.data() + 4, kRequestPayloadSize - 1, request,
                            response),
             Decoded::kMalformed);
@@ -75,7 +75,7 @@ TEST(Wire, DecodeRejectsBadPayloads) {
 TEST(Wire, DecoderReassemblesByteByByte) {
   std::vector<std::uint8_t> wire;
   for (std::uint64_t i = 0; i < 5; ++i) {
-    encode_request(RequestMsg{i, i * 1000}, wire);
+    encode_request(RequestMsg{i, i * 1000, {}}, wire);
   }
   FrameDecoder decoder;
   std::vector<std::uint8_t> payload;
@@ -120,7 +120,7 @@ TEST(Wire, ZeroLengthFramePoisons) {
   EXPECT_FALSE(decoder.next(payload));
   // Poisoned decoders stay poisoned.
   std::vector<std::uint8_t> valid;
-  encode_request(RequestMsg{1, 1}, valid);
+  encode_request(RequestMsg{1, 1, {}}, valid);
   EXPECT_FALSE(decoder.feed(valid.data(), valid.size()));
 }
 
@@ -138,7 +138,7 @@ TEST(Wire, OversizeFramePoisons) {
 TEST(Wire, PartialHeaderDoesNotPoison) {
   // A split length prefix must wait for its remaining bytes, not error.
   std::vector<std::uint8_t> wire;
-  encode_request(RequestMsg{42, 43}, wire);
+  encode_request(RequestMsg{42, 43, {}}, wire);
   FrameDecoder decoder;
   ASSERT_TRUE(decoder.feed(wire.data(), 2));
   std::vector<std::uint8_t> payload;
@@ -153,8 +153,8 @@ TEST(Wire, MidStreamPoisonDeliversEarlierFrames) {
   // valid frames must come out, then the decoder poisons and stays
   // poisoned for every later feed/next.
   std::vector<std::uint8_t> wire;
-  encode_request(RequestMsg{1, 10}, wire);
-  encode_request(RequestMsg{2, 20}, wire);
+  encode_request(RequestMsg{1, 10, {}}, wire);
+  encode_request(RequestMsg{2, 20, {}}, wire);
   wire.insert(wire.end(), {0, 0, 0, 0});
   FrameDecoder decoder;
   ASSERT_TRUE(decoder.feed(wire.data(), wire.size()));
@@ -173,7 +173,7 @@ TEST(Wire, MidStreamPoisonDeliversEarlierFrames) {
   EXPECT_TRUE(decoder.error());
   EXPECT_EQ(decoder.buffered(), 0u);  // poisoned: nothing is reachable
   std::vector<std::uint8_t> valid;
-  encode_request(RequestMsg{3, 30}, valid);
+  encode_request(RequestMsg{3, 30, {}}, valid);
   EXPECT_FALSE(decoder.feed(valid.data(), valid.size()));
   EXPECT_FALSE(decoder.next(payload));
 }
@@ -187,7 +187,7 @@ TEST(Wire, ResetReclaimsPoisonedDecoder) {
   EXPECT_FALSE(decoder.error());
   EXPECT_EQ(decoder.buffered(), 0u);
   std::vector<std::uint8_t> wire;
-  encode_request(RequestMsg{7, 70}, wire);
+  encode_request(RequestMsg{7, 70, {}}, wire);
   ASSERT_TRUE(decoder.feed(wire.data(), wire.size()));
   std::vector<std::uint8_t> payload;
   ASSERT_TRUE(decoder.next(payload));
@@ -200,7 +200,7 @@ TEST(Wire, ResetReclaimsPoisonedDecoder) {
 
 TEST(Wire, NextViewIsZeroCopy) {
   std::vector<std::uint8_t> wire;
-  encode_request(RequestMsg{11, 12}, wire);
+  encode_request(RequestMsg{11, 12, {}}, wire);
   encode_response(ResponseMsg{13, Status::kOk, 1, 2}, wire);
   FrameDecoder decoder;
   ASSERT_TRUE(decoder.feed(wire.data(), wire.size()));
@@ -219,7 +219,7 @@ TEST(Wire, TruncatedPayloadWaitsWithoutError) {
   // A complete header with only part of its payload must neither deliver
   // nor poison — the frame completes on the next feed.
   std::vector<std::uint8_t> wire;
-  encode_request(RequestMsg{5, 50}, wire);
+  encode_request(RequestMsg{5, 50, {}}, wire);
   FrameDecoder decoder;
   ASSERT_TRUE(decoder.feed(wire.data(), wire.size() - 3));
   std::vector<std::uint8_t> payload;
@@ -241,7 +241,7 @@ TEST(Wire, DecoderCompactionKeepsStreamIntact) {
   for (int round = 0; round < 200; ++round) {
     wire.clear();
     for (int i = 0; i < 50; ++i) {
-      encode_request(RequestMsg{sent++, 0}, wire);
+      encode_request(RequestMsg{sent++, 0, {}}, wire);
     }
     // Feed in odd-sized slices so frames straddle feed boundaries.
     std::size_t offset = 0;
