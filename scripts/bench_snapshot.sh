@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Record a performance snapshot: run bench_micro (google-benchmark hot
-# paths), bench_serving (end-to-end engine throughput + in-run STATS
-# time-series), and bench_cluster (E23 router hop overhead) at fixed
-# parameters and merge the JSON documents into
+# paths) and bench_cluster (E23 router hop overhead) at fixed parameters
+# and merge the JSON documents into
 # BENCH_<date>.json at the repo root.  Intended for the non-gating CI job
 # so perf history accumulates as artifacts; also handy before/after a
 # local optimisation.
@@ -16,10 +15,9 @@ BUILD_DIR="${1:-build}"
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 OUT="${2:-$REPO_ROOT/BENCH_$(date -u +%Y%m%d).json}"
 MICRO="$BUILD_DIR/bench/bench_micro"
-SERVING="$BUILD_DIR/bench/bench_serving"
 CLUSTER="$BUILD_DIR/bench/bench_cluster"
 
-for bin in "$MICRO" "$SERVING" "$CLUSTER"; do
+for bin in "$MICRO" "$CLUSTER"; do
   if [[ ! -x "$bin" ]]; then
     echo "bench_snapshot: missing binary $bin (build first)" >&2
     exit 1
@@ -27,21 +25,13 @@ for bin in "$MICRO" "$SERVING" "$CLUSTER"; do
 done
 
 MICRO_JSON="$(mktemp /tmp/rlb_bench_micro.XXXXXX.json)"
-SERVING_JSON="$(mktemp /tmp/rlb_bench_serving.XXXXXX.json)"
 CLUSTER_JSON="$(mktemp /tmp/rlb_bench_cluster.XXXXXX.json)"
 OUT_TMP=""
-trap 'rm -f "$MICRO_JSON" "$SERVING_JSON" "$CLUSTER_JSON" ${OUT_TMP:+"$OUT_TMP"}' EXIT
+trap 'rm -f "$MICRO_JSON" "$CLUSTER_JSON" ${OUT_TMP:+"$OUT_TMP"}' EXIT
 
-# Fixed parameters so snapshots stay comparable run to run; bench_serving
-# runs its built-in (policy, shards) matrix with the default 100ms
-# snapshot scrape.
+# Fixed parameters so snapshots stay comparable run to run.
 echo "bench_snapshot: running bench_micro..." >&2
 "$MICRO" --json "$MICRO_JSON" > /dev/null
-
-echo "bench_snapshot: running bench_serving..." >&2
-"$SERVING" --json "$SERVING_JSON" \
-  --requests 100000 --connections 4 --concurrency 64 --scrape-ms 100 \
-  > /dev/null
 
 echo "bench_snapshot: running bench_cluster..." >&2
 "$CLUSTER" --json "$CLUSTER_JSON" \
@@ -61,22 +51,21 @@ STAMP="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 # crash mid-merge never leaves a truncated BENCH_*.json for the diff job
 # (or a committed baseline) to trip over.
 OUT_TMP="$OUT.tmp.$$"
-python3 - "$MICRO_JSON" "$SERVING_JSON" "$CLUSTER_JSON" "$OUT_TMP" \
+python3 - "$MICRO_JSON" "$CLUSTER_JSON" "$OUT_TMP" \
   "$GIT_HEAD" "$GIT_DIRTY" "$HOST" "$NPROC" "$STAMP" <<'EOF'
 import json, sys
 
 micro = json.load(open(sys.argv[1]))
-serving = json.load(open(sys.argv[2]))
-cluster = json.load(open(sys.argv[3]))
+cluster = json.load(open(sys.argv[2]))
 
 snapshot = {
     "schema": "rlb-bench-snapshot-v1",
     "provenance": {
-        "git_head": sys.argv[5],
-        "git_dirty": sys.argv[6] == "1",
-        "hostname": sys.argv[7],
-        "nproc": int(sys.argv[8]),
-        "timestamp_utc": sys.argv[9],
+        "git_head": sys.argv[4],
+        "git_dirty": sys.argv[5] == "1",
+        "hostname": sys.argv[6],
+        "nproc": int(sys.argv[7]),
+        "timestamp_utc": sys.argv[8],
     },
     # google-benchmark's context block carries host/clock/build info.
     "context": micro.get("context", {}),
@@ -86,15 +75,13 @@ snapshot = {
           "items_per_second") if k in b}
         for b in micro.get("benchmarks", [])
     ],
-    "serving": serving,
     "cluster": cluster,
 }
-with open(sys.argv[4], "w") as f:
+with open(sys.argv[3], "w") as f:
     json.dump(snapshot, f, indent=1)
     f.write("\n")
 print(f"bench_snapshot: merged "
       f"{len(snapshot['micro'])} micro benchmarks, "
-      f"{len(serving.get('tables', []))} serving tables, "
       f"{len(cluster.get('tables', []))} cluster tables")
 EOF
 mv "$OUT_TMP" "$OUT"
