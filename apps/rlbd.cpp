@@ -2,7 +2,7 @@
 //
 // Wires the three layers of the serving stack together:
 //   net::NetServer    — loopback TCP listener + wire protocol framing
-//   engine::ServingEngine — sharded workers embedding a core::LoadBalancer
+//   engine::ServingEngine — one core::LoadBalancer over all m servers
 //   store::KeyMapper  — GET(key) -> chunk (inside the engine)
 // Every REQUEST frame goes to engine.submit_batch(); every balancer outcome
 // comes back through the RequestSink path as a RESPONSE frame (OK with the
@@ -67,7 +67,6 @@ int main(int argc, char** argv) {
            config.processing_rate)
       .num("--q", "capacity", "queue bound; 0 = theorem default",
            config.queue_capacity)
-      .num("--shards", "n", "worker threads", config.shards)
       .num("--chunks", "n", "chunk count", config.chunks)
       .text("--mapper", "hash|range", "key->chunk scheme", config.mapper)
       .num("--key-space", "n", "range-mapper key space; 0 = chunks",
@@ -75,9 +74,8 @@ int main(int argc, char** argv) {
       .num("--port", "p", "listen port; 0 = ephemeral", net_config.port)
       .text("--host", "addr", "bind address", net_config.host)
       .num("--seed", "s", "master seed", config.seed)
-      .num("--max-batch", "n", "distinct chunks per tick per shard",
-           config.max_batch)
-      .num("--waiting-limit", "n", "per-shard admission bound",
+      .num("--max-batch", "n", "distinct chunks per tick", config.max_batch)
+      .num("--waiting-limit", "n", "admission bound (waiting room)",
            config.waiting_limit)
       .num("--tick-us", "us", "minimum tick period; 0 = free-running",
            config.tick_interval_us)
@@ -112,8 +110,8 @@ int main(int argc, char** argv) {
   // Server and engine reference each other (requests flow down, responses
   // flow back up); the handlers capture through pointers filled in below.
   // The server hands over each wakeup's worth of decoded REQUEST frames in
-  // one call, and the engine groups them by shard so a burst costs one
-  // shard-lock + notify per shard instead of one per request.
+  // one call, so a burst takes the engine's tick lock once, not once per
+  // request.
   engine::ServingEngine* engine_raw = nullptr;
   net::NetServer server(
       net_config, [&engine_raw, &server](std::uint64_t conn_token,
@@ -144,8 +142,8 @@ int main(int argc, char** argv) {
   engine::ServingEngine& engine = *engine_ptr;
   engine_raw = engine_ptr.get();
 
-  // STATS admin frames answer from the event-loop thread: snapshot() is a
-  // lock-free merge of shard atomics, so no worker tick ever blocks on it.
+  // STATS admin frames answer from the event-loop thread: snapshot() reads
+  // the engine's atomics without the tick lock, so it never waits on a tick.
   // A router heartbeat piggybacks its placement epoch on the request; the
   // engine records it so the snapshot echoes cluster cutover progress.
   server.set_stats_handler(
@@ -232,9 +230,8 @@ int main(int argc, char** argv) {
   std::cout << "rlbd: serving policy=" << config.policy
             << " backend=" << config.backend_id
             << " m=" << config.servers << " d=" << config.replication
-            << " g=" << config.processing_rate
-            << " shards=" << config.shards << " on " << net_config.host << ":"
-            << server.port() << std::endl;
+            << " g=" << config.processing_rate << " on " << net_config.host
+            << ":" << server.port() << std::endl;
 
   // One loop iteration = 200ms.  The safe-set log samples every
   // stats-interval (1s when --stats-interval is unset).

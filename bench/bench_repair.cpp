@@ -61,7 +61,6 @@ class Backend {
   Backend(std::uint32_t backend_id, std::size_t max_connections) {
     engine::EngineConfig config;
     config.servers = 32;
-    config.shards = 2;
     config.processing_rate = 4;
     config.seed = 7 + backend_id;
     config.backend_id = backend_id;

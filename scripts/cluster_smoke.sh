@@ -76,7 +76,7 @@ start_backend() {  # start_backend <port> <backend-id> -> pid
   # Detach stdout/stderr: the caller captures this function with $(...),
   # and an inherited pipe would make the substitution block until the
   # daemon exits.
-  "$RLBD" --policy greedy --m 32 --d 2 --g 4 --shards 2 \
+  "$RLBD" --policy greedy --m 32 --d 2 --g 4 \
     --port "$1" --backend-id "$2" >/dev/null 2>&1 &
   echo $!
 }

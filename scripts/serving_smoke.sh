@@ -29,7 +29,7 @@ for bin in "$RLBD" "$LOADGEN" "$RLB_STAT"; do
   fi
 done
 
-"$RLBD" --policy greedy --m 64 --d 2 --g 4 --shards 4 --port "$PORT" &
+"$RLBD" --policy greedy --m 64 --d 2 --g 4 --port "$PORT" &
 RLBD_PID=$!
 LOADGEN_PID=""
 cleanup() {

@@ -2,37 +2,37 @@
 // policies.
 //
 // The simulator is step-synchronous and single-threaded per trial; the
-// engine runs the SAME policy objects under real concurrency by sharding.
-// The m servers split into `shards` contiguous partitions, each with one
-// worker thread and its own embedded core::LoadBalancer over the
-// partition.  Chunks hash to shards, so a shard's balancer sees exactly
-// the model it was built for: a private set of servers, one ticking thread
-// at a time, distinct chunks per step.
+// engine runs the SAME policy objects under real concurrency.  It embeds
+// one core::LoadBalancer over all m servers, so each chunk is routed among
+// its d candidates out of all m and the Def 3.2 bounds (m/2^j) speak of
+// the whole server set, as in the paper.  One mutex guards the tick, so the
+// balancer sees exactly the model it was built for: one ticking thread at
+// a time, distinct chunks per step.  Scale-out is more rlbd backends
+// behind rlb_router, not more balancers in one engine.
 //
-// Request path:  GET(key) -> store::KeyMapper -> chunk -> shard (seeded
-// hash) -> the shard's MPSC inbound queue.  Each drain tick swaps the
-// inbound queue, admits into a bounded waiting room (overflow = immediate
-// REJECT — admission control ahead of routing), assembles a micro-batch of
-// DISTINCT chunks (duplicates wait for the next tick, preserving the
-// model's distinct-chunks-per-step contract), and runs one
-// LoadBalancer::step(), which routes the batch and applies g service per
-// server.  The paper's bounded queue q turns into protocol-level
-// backpressure: a full queue rejects the arrival, and the installed
-// core::RequestSink converts that into a REJECT response for the exact
-// client waiting on it.
+// Request path:  GET(key) -> store::KeyMapper -> chunk -> admission into a
+// bounded waiting room, on the thread calling submit_batch() (overflow =
+// immediate REJECT, answered there — admission control ahead of routing).
+// Each drain tick assembles a micro-batch of DISTINCT chunks from the
+// waiting room (duplicates wait for the next tick, preserving the model's
+// distinct-chunks-per-step contract) and runs one LoadBalancer::step(),
+// which routes the batch and applies g service per server.  The paper's
+// bounded queue q turns into protocol-level backpressure: a full queue
+// rejects the arrival, and the installed core::RequestSink converts that
+// into a REJECT response for the exact client waiting on it.
 //
-// Who ticks: with one shard and tick_interval_us == 0, the thread calling
-// submit_batch() runs the ticks itself until the shard settles (under
-// rlbd, the NetServer reactor, so responses leave with no cross-thread
-// hand-off).  The shard's worker takes over when a tick makes no progress
-// (a queue frozen on crashed servers needs the tick clock advanced), when
-// another thread holds the tick, and for the shutdown drain.  Multi-shard
-// and paced engines tick on their workers only.
+// Who ticks: with tick_interval_us == 0, the thread calling submit_batch()
+// runs the ticks itself until the engine settles (under rlbd, the
+// NetServer reactor, so responses leave with no cross-thread hand-off).
+// The engine's one thread, waiting on one condition variable, does the
+// rest: it advances the tick clock when a tick makes no progress (a queue
+// frozen on crashed servers), runs every tick of a paced engine, rechecks
+// the safe set while idle and violated, and drains at shutdown.
 //
-// Failure schedules (core::FailureSchedule) run live: each shard consults
-// its slice of the schedule at every tick boundary and applies crash /
-// recover transitions through set_server_up — the same failover machinery
-// the fault-injection experiments exercise, now under real traffic.
+// Failure schedules (core::FailureSchedule) run live: the engine consults
+// the schedule at every tick boundary and applies crash / recover
+// transitions through set_server_up — the same failover machinery the
+// fault-injection experiments exercise, now under real traffic.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +54,7 @@ struct EngineConfig {
   /// reporting (core::RequestSink) — every built-in policy does except
   /// "migrating-d1" and "batched-greedy".
   std::string policy = "greedy";
-  /// m — total servers across all shards.
+  /// m — total servers.
   std::size_t servers = 64;
   /// d — replication factor.
   unsigned replication = 2;
@@ -62,7 +62,8 @@ struct EngineConfig {
   unsigned processing_rate = 2;
   /// q — bounded queue length; 0 = the policy's theorem default.
   std::size_t queue_capacity = 0;
-  /// Worker threads; servers split into `shards` contiguous partitions.
+  /// Must be 1 (the constructor throws otherwise): one balancer over all m
+  /// servers.  Kept so existing configs that set it still compile.
   std::size_t shards = 1;
   /// n — number of chunks the key space shards into.
   std::size_t chunks = 1 << 20;
@@ -73,10 +74,10 @@ struct EngineConfig {
   /// Range mapper key space; 0 = chunks (identity-width ranges).
   std::uint64_t key_space = 0;
   std::uint64_t seed = 1;
-  /// Distinct chunks routed per tick per shard; 0 = the shard's server
-  /// count (the model's "up to m requests per step").
+  /// Distinct chunks routed per tick; 0 = servers (the model's "up to m
+  /// requests per step").
   std::size_t max_batch = 0;
-  /// Pre-routing waiting room per shard; arrivals beyond it are rejected
+  /// Pre-routing waiting room; arrivals beyond it are rejected
   /// immediately.  0 = 8 x max_batch.
   std::size_t waiting_limit = 0;
   /// Minimum drain-clock period in microseconds; 0 = free-running (a tick
@@ -95,9 +96,10 @@ struct EngineConfig {
 };
 
 /// One answered request, delivered to the ResponseFn from whichever thread
-/// runs the shard's tick: a shard worker, or — for a one-shard engine with
-/// no tick pacing — the thread calling submit_batch(), before that call
-/// returns.  Thread-safe delivery is the callback's responsibility, and the
+/// answers it: the thread calling submit_batch(), before that call returns
+/// (every admission shed, and every tick of an unpaced engine), or the
+/// engine's own thread (paced ticks, a frozen queue's clock, the shutdown
+/// drain).  Thread-safe delivery is the callback's responsibility, and the
 /// callback must not call submit_batch() itself.
 struct EngineResponse {
   std::uint64_t conn_token = 0;
@@ -130,7 +132,7 @@ std::unique_ptr<core::FailureSchedule> parse_failure_spec(
 class ServingEngine {
  public:
   /// Throws std::invalid_argument for bad configs (unknown policy/mapper,
-  /// a policy without RequestSink support, more shards than servers, or a
+  /// a policy without RequestSink support, shards other than 1, or a
   /// malformed failure_spec).
   ServingEngine(const EngineConfig& config, ResponseFn on_response);
   ~ServingEngine();
@@ -138,11 +140,11 @@ class ServingEngine {
   ServingEngine(const ServingEngine&) = delete;
   ServingEngine& operator=(const ServingEngine&) = delete;
 
-  /// Spawn the shard workers.
+  /// Spawn the engine's thread and start admitting.
   void start();
 
   /// Graceful drain: stop admitting, answer everything in flight, join the
-  /// workers.  Idempotent.
+  /// thread.  Idempotent.
   void stop();
 
   /// One request in a submit_batch() call.
@@ -154,32 +156,30 @@ class ServingEngine {
   };
 
   /// Route GET(key) for a server wakeup's worth of requests — the one
-  /// entry point.  Items are grouped by destination shard so each shard's
-  /// mutex is taken — and its worker woken — at most once per call.  An
-  /// engine with one shard and no tick pacing runs the drain ticks in this
-  /// call instead of waking its worker (unless another thread holds the
-  /// tick), so ResponseFn may run on the calling thread before it returns.
-  /// A valid trace context rides its request through the MPSC queue and
-  /// waiting room into the drain tick, and an `engine.request` span
-  /// (parented to it) lands in the SpanRecorder when the response is
-  /// delivered.  Indices of items that were NOT admitted (engine not
-  /// accepting, or shard stopping) are appended to `rejected`; the caller
-  /// answers those with an error.  `rejected` is not cleared first.
+  /// entry point.  Takes the tick lock once, admits every item into the
+  /// waiting room (answering sheds with kEngineReject on this thread) and,
+  /// with no tick pacing, runs the drain ticks until the engine settles, so
+  /// ResponseFn may run on the calling thread before this returns.  A
+  /// paced engine leaves the ticks to its thread.  A valid trace context
+  /// rides its request through the waiting room into the drain tick, and an
+  /// `engine.request` span (parented to it) lands in the SpanRecorder when
+  /// the response is delivered.  Indices of items that were NOT admitted
+  /// (engine not accepting, or stopping) are appended to `rejected`; the
+  /// caller answers those with an error.  `rejected` is not cleared first.
   /// Thread-safe.
   void submit_batch(const SubmitItem* items, std::size_t count,
                     std::vector<std::size_t>& rejected);
 
-  /// Full metrics snapshot for the STATS wire channel: per-shard rows
-  /// (snapshot().totals() is the engine-wide view), merged histograms, and
-  /// the Def 3.2 safe-set monitor over the merged backlog vector.  Lock-free — reads each shard's atomics
-  /// without stopping its worker — so a row is internally consistent only
-  /// up to in-flight ticks.  Safe to call from any thread at any time, and
-  /// free of side effects: the shard workers journal the safe-set edges
-  /// (SAFE_SET_VIOLATED / SAFE_SET_RECOVERED) themselves, checking at most
-  /// every 100 ms, whether or not anyone scrapes.
+  /// Full metrics snapshot for the STATS wire channel: one shard row
+  /// (snapshot().totals() is the engine-wide view), the histograms, and the
+  /// Def 3.2 safe-set monitor over the m-server backlog vector.  Lock-free —
+  /// reads the engine's atomics without taking the tick lock — so the row is
+  /// internally consistent only up to an in-flight tick.  Safe to call from
+  /// any thread at any time, and free of side effects: the ticks journal the
+  /// safe-set edges (SAFE_SET_VIOLATED / SAFE_SET_RECOVERED) themselves,
+  /// checking at most every 100 ms, whether or not anyone scrapes.
   net::StatsSnapshot snapshot() const;
 
-  std::size_t shard_count() const;
   const EngineConfig& config() const;
 
   /// Record the placement epoch piggybacked on the router's heartbeat
@@ -195,9 +195,8 @@ class ServingEngine {
   /// One inbound migration slice failed verification.
   void note_corrupt_slice();
 
-  /// The chunk a key maps to and the shard that owns it (tests/tools).
+  /// The chunk a key maps to (tests/tools).
   core::ChunkId chunk_of(store::KeyId key) const;
-  std::size_t shard_of_chunk(core::ChunkId chunk) const;
 
  private:
   struct Impl;

@@ -12,10 +12,11 @@
 // Writes are batched per loop pass.  send() called ON the loop thread
 // appends the bytes to the connection's loop-owned drain buffer and lists
 // the connection dirty — no lock, no atomic.  send() from ANY OTHER thread
-// (a multi-shard engine's worker answering a request) appends to a small
-// per-connection staging buffer under that connection's own mutex, flags the
-// connection dirty and wakes the loop through the pipe on the clean->dirty
-// edge, and only when the loop is asleep.  At the end of every pass the loop
+// (the engine's own thread answering a paced or frozen-clock tick, or the
+// repair plane) appends to a small per-connection staging buffer under that
+// connection's own mutex, flags the connection dirty and wakes the loop
+// through the pipe on the clean->dirty edge, and only when the loop is
+// asleep.  At the end of every pass the loop
 // splices staged bytes into the drain buffers (a vector swap — no copy) and
 // writes every dirty connection with one sendmsg() iovec chain, never
 // holding a lock across a syscall.

@@ -11,9 +11,10 @@
 //
 // There is no global lock on the data path.  Responses sent on the loop
 // thread (a router relaying a backend's answer) go straight into the
-// connection's drain buffer, as do a one-shard engine's, whose tick runs on
-// the loop; responses sent from OTHER threads (a multi-shard engine's shard
-// workers) are staged under a per-connection mutex and the loop is woken
+// connection's drain buffer, as do an unpaced engine's, whose tick runs on
+// the loop; responses sent from OTHER threads (the engine's own thread on
+// a paced or frozen-queue clock or the shutdown drain, and the repair
+// plane) are staged under a per-connection mutex and the loop is woken
 // only when it sleeps.  Either way the loop writes each
 // connection once per pass (see net/reactor.hpp).  Server counters are
 // relaxed per-field atomics aggregated by stats().

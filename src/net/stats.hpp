@@ -42,10 +42,10 @@ enum class NodeRole : std::uint8_t { kBackend = 0, kRouter = 1 };
 
 const char* to_string(NodeRole role) noexcept;
 
-/// One worker shard's counters (on a router, one backend's; see
-/// docs/CLUSTER.md for the row mapping).  Every member but `shard` is
-/// described once in kShardFields, which drives the codec, totals() and
-/// every rendering.
+/// One row of counters: a backend engine's (it sends one), or on a router
+/// one backend's (see docs/CLUSTER.md for the row mapping).  Every member
+/// but `shard` is described once in kShardFields, which drives the codec,
+/// totals() and every rendering.
 struct ShardStats {
   std::uint32_t shard = 0;
   std::uint64_t submitted = 0;
@@ -287,7 +287,7 @@ struct StatsSnapshot {
   obs::LogHistogram hop_rtt;
   obs::LogHistogram queue_wait;
 
-  // Drain-tick cost (v7), recorded once per tick by each shard worker:
+  // Drain-tick cost (v7), recorded once per engine tick:
   // nanoseconds inside balancer step(), and the distinct chunks stepped
   // (non-empty batches only).  Empty on a router.
   obs::LogHistogram step_ns;

@@ -48,7 +48,8 @@ enum class JournalType : std::uint8_t {
   kMigrateStart = 5,
   kMigrateDone = 6,
   kMigrateFail = 7,
-  /// Waiting-room shed burst (a0 = shard, a1 = cumulative sheds).
+  /// Waiting-room shed burst (a0 = 0, the engine's one shard row;
+  /// a1 = cumulative sheds).
   /// Rate-limited at the call site so a storm doesn't flood the ring.
   kShed = 8,
   /// Slow-consumer disconnect (a0 = connection slot, a1 = queued bytes).

@@ -78,7 +78,7 @@ struct Span {
   /// Waiting-room / pending depth observed at admission (site-specific).
   std::uint64_t queue_depth = 0;
   const char* name = "";
-  /// Site-specific topology id: engine shard index, router backend id.
+  /// Site-specific topology id: 0 for an engine, the router's backend id.
   std::uint32_t shard = 0;
   std::uint32_t tid = 0;  ///< dense per-process thread index
   std::uint8_t flags = 0;

@@ -1,9 +1,10 @@
 // Tests for the serving engine (engine/engine.hpp): per-request response
-// accounting across shards, admission control, failure specs, and the
-// KeyMapper -> chunk -> replica routing path the engine rides on.
+// accounting, admission control, failure specs, and the KeyMapper -> chunk
+// -> replica routing path the engine rides on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -56,7 +57,6 @@ TEST(ServingEngine, AnswersEveryRequestExactlyOnce) {
   Collector collector;
   EngineConfig config;
   config.servers = 32;
-  config.shards = 4;
   config.processing_rate = 4;
   config.chunks = 1 << 16;
   ServingEngine engine(config, collector.fn());
@@ -92,7 +92,6 @@ TEST(ServingEngine, LightLoadIsAllServed) {
   Collector collector;
   EngineConfig config;
   config.servers = 64;
-  config.shards = 2;
   config.processing_rate = 8;
   config.waiting_limit = 1 << 20;
   ServingEngine engine(config, collector.fn());
@@ -121,21 +120,15 @@ TEST(ServingEngine, SubmitAfterStopIsRefused) {
   EXPECT_EQ(rejected, (std::vector<std::size_t>{7, 0, 1}));
 }
 
-TEST(ServingEngine, ShardingIsConsistentAndTotal) {
+TEST(ServingEngine, RangeMapperMapsEachKeyToItsOwnChunk) {
   Collector collector;
   EngineConfig config;
-  config.servers = 30;  // does not divide evenly by 4
-  config.shards = 4;
+  config.servers = 30;
   config.mapper = "range";
   config.chunks = 1000;
   ServingEngine engine(config, collector.fn());
-  EXPECT_EQ(engine.shard_count(), 4u);
   for (std::uint64_t key = 0; key < 1000; ++key) {
-    const core::ChunkId chunk = engine.chunk_of(key);
-    EXPECT_EQ(chunk, key);  // range mapper with key_space == chunks
-    EXPECT_LT(engine.shard_of_chunk(chunk), 4u);
-    // Deterministic.
-    EXPECT_EQ(engine.shard_of_chunk(chunk), engine.shard_of_chunk(chunk));
+    EXPECT_EQ(engine.chunk_of(key), key);  // key_space == chunks
   }
 }
 
@@ -145,10 +138,14 @@ TEST(ServingEngine, RejectsInvalidConfigs) {
   config.policy = "no-such-policy";
   EXPECT_THROW(ServingEngine(config, collector.fn()), std::invalid_argument);
 
-  config = EngineConfig{};
-  config.shards = 100;
-  config.servers = 8;
-  EXPECT_THROW(ServingEngine(config, collector.fn()), std::invalid_argument);
+  // One balancer over all m servers: any other shard count is refused.
+  for (const std::size_t shards :
+       {std::size_t{0}, std::size_t{2}, std::size_t{100}}) {
+    config = EngineConfig{};
+    config.shards = shards;
+    EXPECT_THROW(ServingEngine(config, collector.fn()), std::invalid_argument)
+        << shards << " shards";
+  }
 
   config = EngineConfig{};
   config.mapper = "geo";
@@ -170,7 +167,6 @@ TEST(ServingEngine, ScriptedCrashDegradesWithoutDeadlock) {
   Collector collector;
   EngineConfig config;
   config.servers = 16;
-  config.shards = 2;
   config.processing_rate = 2;
   config.queue_capacity = 4;
   // Crash servers 0..5 almost immediately, never recover.
@@ -267,6 +263,41 @@ TEST(ServingEngine, FrozenQueueIsAnsweredBeforeStop) {
   const net::ShardStats stats = engine.snapshot().totals();
   EXPECT_EQ(stats.crashes, 2u);
   EXPECT_EQ(stats.recoveries, 2u);
+}
+
+TEST(ServingEngine, PacedEngineShedsDuringSubmitBatch) {
+  // Admission runs in submit_batch(), even when the engine's thread runs
+  // the ticks: a burst larger than the waiting room is shed on the
+  // submitting thread before the call returns.
+  const std::thread::id submitter = std::this_thread::get_id();
+  std::atomic<std::uint64_t> answered{0};
+  std::atomic<std::uint64_t> rejected_on_submitter{0};
+  EngineConfig config;
+  config.servers = 8;
+  config.tick_interval_us = 5000;
+  config.waiting_limit = 8;
+  ServingEngine engine(config, [&](const EngineResponse& response) {
+    if (response.status == kEngineReject &&
+        std::this_thread::get_id() == submitter) {
+      rejected_on_submitter.fetch_add(1, std::memory_order_relaxed);
+    }
+    answered.fetch_add(1, std::memory_order_relaxed);
+  });
+  engine.start();
+
+  constexpr std::uint64_t kBurst = 32;
+  std::vector<ServingEngine::SubmitItem> items;
+  for (std::uint64_t i = 0; i < kBurst; ++i) items.push_back({0, i, i, {}});
+  std::vector<std::size_t> refused;
+  engine.submit_batch(items.data(), items.size(), refused);
+  EXPECT_TRUE(refused.empty());
+  EXPECT_EQ(rejected_on_submitter.load(), kBurst - config.waiting_limit);
+
+  engine.stop();
+  EXPECT_EQ(answered.load(), kBurst);
+  const net::ShardStats stats = engine.snapshot().totals();
+  EXPECT_EQ(stats.rejected_admission, kBurst - config.waiting_limit);
+  EXPECT_EQ(stats.completed + stats.rejected_total(), kBurst);
 }
 
 // -- parse_failure_spec ---------------------------------------------------

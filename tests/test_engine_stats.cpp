@@ -1,10 +1,10 @@
-// Tests for ServingEngine::snapshot() — the lock-free per-shard merge the
-// STATS wire channel serves — under the engine's real thread model, plus
-// the end-to-end STATS round-trip over a live NetServer, and the safe-set
-// journal edges the shard workers append with nobody scraping.
+// Tests for ServingEngine::snapshot() — the lock-free read the STATS wire
+// channel serves — under the engine's real thread model, plus the
+// end-to-end STATS round-trip over a live NetServer, and the safe-set
+// journal edges the ticks append with nobody scraping.
 //
-// The concurrency tests run scrapers against worker threads that are
-// mutating the shard atomics at full speed; they are meant to execute
+// The concurrency tests run a scraper against submitters that tick and
+// mutate the engine's atomics at full speed; they are meant to execute
 // under the TSan CI job as-is.  Correctness here means: cumulative
 // counters never move backwards between successive scrapes, and after a
 // drain the totals obey exact conservation against what the submitters
@@ -28,13 +28,12 @@
 namespace rlb {
 namespace {
 
-engine::EngineConfig small_config(std::size_t shards) {
+engine::EngineConfig small_config() {
   engine::EngineConfig config;
   config.policy = "greedy";
   config.servers = 32;
   config.replication = 2;
   config.processing_rate = 4;
-  config.shards = shards;
   config.seed = 17;
   return config;
 }
@@ -48,13 +47,11 @@ void submit_one(engine::ServingEngine& engine, std::uint64_t conn_token,
   engine.submit_batch(&item, 1, rejected);
 }
 
-/// Three submitters and a scraper against a running engine.  With one
-/// shard the submitters race each other for the tick itself; with four
-/// the shard workers tick.
-void concurrent_scrape_sees_monotone_counters(std::size_t shards) {
+TEST(EngineStatsSnapshot, ConcurrentScrapeSeesMonotoneCountersOneShard) {
+  // Three submitters race each other for the tick while a scraper reads.
   std::atomic<std::uint64_t> responses{0};
   engine::ServingEngine engine(
-      small_config(shards),
+      small_config(),
       [&responses](const engine::EngineResponse&) {
         responses.fetch_add(1, std::memory_order_relaxed);
       });
@@ -73,31 +70,28 @@ void concurrent_scrape_sees_monotone_counters(std::size_t shards) {
     });
   }
 
-  // Scrape continuously while the submitters and workers run.  Each
-  // cumulative counter must be non-decreasing between successive
-  // snapshots of the same shard.
+  // Scrape continuously while the submitters run.  Each cumulative
+  // counter must be non-decreasing between successive snapshots.
   std::thread scraper([&engine, &done] {
-    std::vector<net::ShardStats> last(engine.shard_count());
+    net::ShardStats prev;
     std::uint64_t last_latency_count = 0;
     std::uint64_t scrapes = 0;
     while (!done.load(std::memory_order_acquire)) {
       const net::StatsSnapshot snapshot = engine.snapshot();
-      ASSERT_EQ(snapshot.shards.size(), last.size());
-      for (const net::ShardStats& shard : snapshot.shards) {
-        const net::ShardStats& prev = last[shard.shard];
-        EXPECT_GE(shard.submitted, prev.submitted);
-        EXPECT_GE(shard.completed, prev.completed);
-        EXPECT_GE(shard.rejected_queue_full, prev.rejected_queue_full);
-        EXPECT_GE(shard.rejected_all_down, prev.rejected_all_down);
-        EXPECT_GE(shard.rejected_admission, prev.rejected_admission);
-        EXPECT_GE(shard.rejected_drop, prev.rejected_drop);
-        EXPECT_GE(shard.ticks, prev.ticks);
-        EXPECT_GE(shard.batches, prev.batches);
-        EXPECT_GE(shard.batched_chunks, prev.batched_chunks);
-        EXPECT_GE(shard.step_ns, prev.step_ns);
-        EXPECT_GE(shard.max_batch, prev.max_batch);
-        last[shard.shard] = shard;
-      }
+      ASSERT_EQ(snapshot.shards.size(), 1u);
+      const net::ShardStats& row = snapshot.shards.front();
+      EXPECT_GE(row.submitted, prev.submitted);
+      EXPECT_GE(row.completed, prev.completed);
+      EXPECT_GE(row.rejected_queue_full, prev.rejected_queue_full);
+      EXPECT_GE(row.rejected_all_down, prev.rejected_all_down);
+      EXPECT_GE(row.rejected_admission, prev.rejected_admission);
+      EXPECT_GE(row.rejected_drop, prev.rejected_drop);
+      EXPECT_GE(row.ticks, prev.ticks);
+      EXPECT_GE(row.batches, prev.batches);
+      EXPECT_GE(row.batched_chunks, prev.batched_chunks);
+      EXPECT_GE(row.step_ns, prev.step_ns);
+      EXPECT_GE(row.max_batch, prev.max_batch);
+      prev = row;
       EXPECT_GE(snapshot.latency.count, last_latency_count);
       last_latency_count = snapshot.latency.count;
       ++scrapes;
@@ -132,29 +126,18 @@ void concurrent_scrape_sees_monotone_counters(std::size_t shards) {
   EXPECT_EQ(final_snapshot.latency.count, expected);
 }
 
-TEST(EngineStatsSnapshot, ConcurrentScrapeSeesMonotoneCounters) {
-  concurrent_scrape_sees_monotone_counters(/*shards=*/4);
-}
-
-TEST(EngineStatsSnapshot, ConcurrentScrapeSeesMonotoneCountersOneShard) {
-  concurrent_scrape_sees_monotone_counters(/*shards=*/1);
-}
-
 TEST(EngineStatsSnapshot, OneShardUnpacedEngineAnswersOnTheSubmittingThread) {
-  // Where the ResponseFn runs: an unpaced one-shard engine ticks on the
-  // thread that calls submit_batch(), so every answer is delivered there,
-  // before the call returns.  Four shards, or a paced clock, answer from
-  // the shard workers.
+  // Where the ResponseFn runs: an unpaced engine ticks on the thread that
+  // calls submit_batch(), so every answer is delivered there, before the
+  // call returns.  A paced clock answers from the engine's thread.
   struct Case {
-    std::size_t shards;
     std::uint64_t tick_interval_us;
     bool on_submitter;
   };
-  for (const Case& c : {Case{1, 0, true}, Case{4, 0, false},
-                        Case{1, 100, false}}) {
-    SCOPED_TRACE(testing::Message() << c.shards << " shard(s), tick every "
-                                    << c.tick_interval_us << " us");
-    engine::EngineConfig config = small_config(c.shards);
+  for (const Case& c : {Case{0, true}, Case{100, false}}) {
+    SCOPED_TRACE(testing::Message() << "tick every " << c.tick_interval_us
+                                    << " us");
+    engine::EngineConfig config = small_config();
     config.tick_interval_us = c.tick_interval_us;
     const std::thread::id submitter = std::this_thread::get_id();
     std::atomic<std::uint64_t> answered{0};
@@ -167,7 +150,8 @@ TEST(EngineStatsSnapshot, OneShardUnpacedEngineAnswersOnTheSubmittingThread) {
           answered.fetch_add(1, std::memory_order_release);
         });
     engine.start();
-    // Let the workers park first, so none is awake when the work arrives.
+    // Let the engine's thread park first, so it is not awake when the work
+    // arrives.
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     constexpr std::uint64_t kRequests = 200;
     for (std::uint64_t i = 0; i < kRequests; ++i) {
@@ -186,7 +170,7 @@ TEST(EngineStatsSnapshot, OneShardUnpacedEngineAnswersOnTheSubmittingThread) {
 }
 
 TEST(EngineStatsSnapshot, ReportsConfigAndSafeSetShape) {
-  engine::EngineConfig config = small_config(/*shards=*/2);
+  engine::EngineConfig config = small_config();
   config.queue_capacity = 6;
   engine::ServingEngine engine(config, [](const engine::EngineResponse&) {});
   engine.start();
@@ -202,9 +186,9 @@ TEST(EngineStatsSnapshot, ReportsConfigAndSafeSetShape) {
   EXPECT_EQ(snapshot.replication, 2u);
   EXPECT_EQ(snapshot.processing_rate, 4u);
   EXPECT_EQ(snapshot.queue_capacity, 6u);
-  EXPECT_EQ(snapshot.shard_count, 2u);
-  ASSERT_EQ(snapshot.shards.size(), 2u);
-  // After a drain the balancers are empty: the safe-set monitor must
+  EXPECT_EQ(snapshot.shard_count, 1u);
+  ASSERT_EQ(snapshot.shards.size(), 1u);
+  // After a drain the balancer is empty: the safe-set monitor must
   // report a clean state.
   EXPECT_DOUBLE_EQ(snapshot.safe_worst_ratio, 0.0);
   EXPECT_EQ(snapshot.safe_violated_level, 0u);
@@ -231,7 +215,7 @@ TEST(EngineStatsSnapshot, StatsOverLiveNetServer) {
         engine::submit_requests(*engine_raw, server, batch, count);
       });
   engine::ServingEngine engine(
-      small_config(/*shards=*/2), [&server](const engine::EngineResponse& r) {
+      small_config(), [&server](const engine::EngineResponse& r) {
         net::ResponseMsg msg;
         msg.request_id = r.request_id;
         msg.status = static_cast<net::Status>(r.status);
@@ -297,7 +281,6 @@ TEST(EngineStatsSnapshot, SafeSetMonitorSeesInjectedBacklog) {
   config.replication = 2;
   config.processing_rate = 1;
   config.queue_capacity = 64;
-  config.shards = 1;
   config.tick_interval_us = 2000;  // slow drain clock: backlog builds up
   config.seed = 5;
   engine::ServingEngine engine(config, [](const engine::EngineResponse&) {});
@@ -346,17 +329,16 @@ std::vector<obs::JournalType> safe_set_edges(std::uint64_t cursor) {
 }
 
 TEST(EngineStatsSnapshot, CrashWaveJournalsSafeSetEdgesWithoutAScrape) {
-  // Two shards of four servers; a scripted wave crashes three servers in
-  // each at tick 1 and brings them back at tick 60, while a steady stream
-  // piles onto the survivors.  Nobody calls snapshot(): the workers alone
-  // must journal the violation and, once the backlog drains, the recovery.
+  // One engine of eight servers; a scripted wave crashes six of them at
+  // tick 1 and brings them back at tick 60, while a steady stream piles
+  // onto the survivors.  Nobody calls snapshot(): the ticks alone must
+  // journal the violation and, once the backlog drains, the recovery.
   engine::EngineConfig config;
   config.policy = "greedy";
   config.servers = 8;
   config.replication = 2;
   config.processing_rate = 1;
   config.queue_capacity = 64;
-  config.shards = 2;
   config.tick_interval_us = 5000;
   config.seed = 5;
   config.failure_spec =
@@ -401,7 +383,7 @@ TEST(EngineStatsSnapshot, CrashWaveJournalsSafeSetEdgesWithoutAScrape) {
 }
 
 TEST(EngineStatsSnapshot, ScrapingAQuietEngineJournalsNothing) {
-  engine::ServingEngine engine(small_config(/*shards=*/2),
+  engine::ServingEngine engine(small_config(),
                                [](const engine::EngineResponse&) {});
   engine.start();
   const std::uint64_t cursor = obs::Journal::instance().next_seq() - 1;

@@ -281,7 +281,6 @@ class RepairBackend {
   explicit RepairBackend(std::uint16_t port, std::uint32_t backend_id) {
     engine::EngineConfig config;
     config.servers = 16;
-    config.shards = 2;
     config.processing_rate = 4;
     config.seed = 100 + backend_id;
     config.backend_id = backend_id;

@@ -36,7 +36,6 @@ class Backend {
                    std::uint64_t tick_interval_us = 0) {
     engine::EngineConfig config;
     config.servers = 16;
-    config.shards = 2;
     config.processing_rate = 4;
     config.seed = 100 + backend_id;
     config.backend_id = backend_id;

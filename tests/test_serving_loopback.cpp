@@ -144,7 +144,6 @@ class ServingStack {
 TEST(ServingLoopback, SingleClientAllAnswered) {
   engine::EngineConfig config;
   config.servers = 32;
-  config.shards = 2;
   config.processing_rate = 4;
   config.seed = 11;
   ServingStack stack(config);
@@ -166,7 +165,6 @@ TEST(ServingLoopback, SingleClientAllAnswered) {
 TEST(ServingLoopback, ConcurrentClientsNoCrossTalk) {
   engine::EngineConfig config;
   config.servers = 64;
-  config.shards = 4;
   config.processing_rate = 4;
   config.seed = 23;
   ServingStack stack(config);
@@ -201,7 +199,6 @@ TEST(ServingLoopback, ServesThroughScriptedCrash) {
   // rejections) and the drain must still answer everything.
   engine::EngineConfig config;
   config.servers = 20;
-  config.shards = 2;
   config.processing_rate = 2;
   config.queue_capacity = 4;
   config.failure_spec = "script:20,0,down;20,10,down";
