@@ -14,8 +14,9 @@
 #             again (probation) and serve a full run with zero hop-level
 #             rejects; the router's cumulative completed total must equal
 #             the sum of the three phases' ok counts.
-#   phase 4 — distributed tracing under failure: a traced run (wire
-#             contexts + client span file) with another mid-run SIGKILL;
+#   phase 4 — distributed tracing under failure: a paced traced run
+#             (wire contexts + client span file) with another mid-run
+#             SIGKILL, sent while the frozen backend holds hops in flight;
 #             rlb_stat --spans must merge client, router, and backend
 #             spans into cross-process trees that include retried hops,
 #             every emitted JSONL file must parse line by line, and a
@@ -383,12 +384,28 @@ router_completed() {
     2>/dev/null || echo 0
 }
 
-# A wall-clock sleep can fire before the loadgen has sent anything (or
-# after it finished), turning the SIGKILL into a no-op for tracing; gate
-# the kill on the router's cumulative completed counter instead so it
-# always lands with hops in flight.
+# In-flight hops from the router to B2: its per-backend row (shard 1).
+b2_inflight() {
+  "$RLB_STAT" --port "$ROUTER_PORT" --prom 2>/dev/null \
+    | awk '$1 == "rlb_engine_inflight{shard=\"1\"}" { n = $2 }
+           END { print n + 0 }' || echo 0
+}
+
+# Alive and not yet reaped: a finished child stays a zombie until `wait`.
+running() {  # running <pid>
+  local state
+  state="$(ps -o stat= -p "$1" 2>/dev/null)" || return 1
+  [[ -n "$state" && "$state" != Z* ]]
+}
+
+# The SIGKILL must land while the loadgen still sends and hops to B2 are in
+# flight, or no hop fails over.  The loadgen is paced (--rate) so the run
+# lasts ~3 s however fast the data path is.  Once the router's completed
+# counter passes a mark, B2 is frozen (SIGSTOP), so the hops the router
+# sends it stay in flight instead of being answered within microseconds;
+# the SIGKILL follows as soon as the router reports one.
 ROUTER_DONE="$(router_completed)"
-"$LOADGEN" --port "$ROUTER_PORT" --connections 4 --concurrency 32 \
+"$LOADGEN" --port "$ROUTER_PORT" --connections 4 --rate 50000 \
   --requests 150000 --workload uniform --trace-sample 0.05 \
   --span-file "$SPAN_FILE" --json "$P4_JSON" &
 LOADGEN_PID=$!
@@ -397,11 +414,17 @@ for _ in $(seq 1 500); do
   if (( $(router_completed) >= KILL_AT )); then break; fi
   sleep 0.02
 done
-# The gate's own STATS scrape briefly serialises with the router's event
-# loop, draining its pending-hop table; let the data plane refill so the
-# SIGKILL lands with hops actually in flight to B2.
-sleep 0.08
+kill -STOP "$B2_PID"
+for _ in $(seq 1 100); do
+  if (( $(b2_inflight) > 0 )); then break; fi
+  sleep 0.01
+done
 kill -9 "$B2_PID"
+if ! running "$LOADGEN_PID"; then
+  echo "cluster_smoke: phase 4: the loadgen was no longer running when B2" \
+    "was SIGKILLed, so no hop could fail over" >&2
+  exit 1
+fi
 wait_gone "$B2_PID"
 B2_PID=""
 wait "$LOADGEN_PID"

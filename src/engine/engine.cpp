@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -143,23 +142,206 @@ struct Waiting {
   obs::TraceContext trace;
 };
 
-// One request delivered into the balancer, awaiting its sink event.
+// One request delivered into the balancer, awaiting its sink event: a node
+// in the in-flight slab, chained to the next younger request of its chunk.
 struct Pending {
   std::uint64_t conn_token = 0;
   std::uint64_t request_id = 0;
   // Ticks spent in the waiting room before delivery (added to the
   // balancer-reported wait for the end-to-end wait_steps).
   std::uint32_t waited = 0;
+  // Slab index of the chunk's next younger Pending, or kNil.
+  std::uint32_t next = 0;
   std::uint64_t submit_ns = 0;
   std::uint64_t queue_depth = 0;
   obs::TraceContext trace;
 };
 
-// A chunk's delivered requests, oldest first, and the last tick that put
-// the chunk in a batch (one delivery per chunk per tick).
-struct Inflight {
-  std::deque<Pending> queue;
-  std::uint64_t batched_tick = ~std::uint64_t{0};
+constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+// The chunks with requests inside the balancer.  Each entry heads its
+// chunk's FIFO of Pending requests, oldest first, and holds the last tick
+// that put the chunk in a batch (one delivery per chunk per tick).  The
+// table is open-addressed with linear probing and backward-shift erase, so
+// it has no tombstones; the FIFOs are index chains through one slab of
+// Pending nodes with a free list.  Once warm, neither allocates.
+class InflightTable {
+ public:
+  InflightTable() : slots_(kInitialSlots) {}
+
+  /// Append `pending` to `chunk`'s FIFO and mark the chunk batched at
+  /// `tick`.  False, appending nothing, when `tick` already batched it.
+  bool deliver(core::ChunkId chunk, std::uint64_t tick,
+               const Pending& pending) {
+    std::size_t i = find(chunk);
+    if (slots_[i].head == kNil) {
+      if (2 * (used_ + 1) > slots_.size()) {
+        grow();
+        i = find(chunk);
+      }
+      slots_[i].chunk = chunk;
+      ++used_;
+    } else if (slots_[i].batched_tick == tick) {
+      return false;
+    }
+    Slot& slot = slots_[i];
+    slot.batched_tick = tick;
+    std::uint32_t node = free_;
+    if (node != kNil) {
+      free_ = nodes_[node].next;
+      nodes_[node] = pending;
+    } else {
+      node = static_cast<std::uint32_t>(nodes_.size());
+      nodes_.push_back(pending);
+    }
+    nodes_[node].next = kNil;
+    if (slot.head == kNil) {
+      slot.head = node;
+    } else {
+      nodes_[slot.tail].next = node;
+    }
+    slot.tail = node;
+    return true;
+  }
+
+  /// Take the oldest Pending of `chunk`; false when it has none.
+  bool pop(core::ChunkId chunk, Pending& out) {
+    const std::size_t i = find(chunk);
+    Slot& slot = slots_[i];
+    if (slot.head == kNil) return false;
+    const std::uint32_t node = slot.head;
+    out = nodes_[node];
+    slot.head = out.next;
+    nodes_[node].next = free_;
+    free_ = node;
+    if (slot.head == kNil) erase(i);
+    return true;
+  }
+
+  /// Hand every Pending to `fn`, each chunk's oldest first, and empty the
+  /// table.
+  template <typename Fn>
+  void drain(Fn&& fn) {
+    for (Slot& slot : slots_) {
+      for (std::uint32_t n = slot.head; n != kNil; n = nodes_[n].next) {
+        fn(nodes_[n]);
+      }
+      slot.head = kNil;
+    }
+    nodes_.clear();
+    free_ = kNil;
+    used_ = 0;
+  }
+
+ private:
+  static constexpr std::size_t kInitialSlots = 64;
+
+  struct Slot {
+    core::ChunkId chunk = 0;
+    std::uint64_t batched_tick = 0;
+    std::uint32_t head = kNil;  // kNil: the slot is free
+    std::uint32_t tail = kNil;
+  };
+
+  // Fibonacci hashing onto the power-of-two table, so chunk ids with a
+  // common stride (range-mapped keys) still spread.
+  std::size_t home(core::ChunkId chunk) const {
+    return static_cast<std::size_t>((chunk * 0x9e3779b97f4a7c15ull) >>
+                                    (64 - std::countr_zero(slots_.size())));
+  }
+
+  // The chunk's slot, or the free slot that ends its probe run.
+  std::size_t find(core::ChunkId chunk) const {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = home(chunk);
+    while (slots_[i].head != kNil && slots_[i].chunk != chunk) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+
+  // Free slot `hole`, shifting later members of its probe run back so
+  // every entry stays reachable from its home without tombstones.
+  void erase(std::size_t hole) {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t j = (hole + 1) & mask; slots_[j].head != kNil;
+         j = (j + 1) & mask) {
+      // An entry whose home lies cyclically in (hole, j] must stay put.
+      if (((j - home(slots_[j].chunk)) & mask) >= ((j - hole) & mask)) {
+        slots_[hole] = slots_[j];
+        hole = j;
+      }
+    }
+    slots_[hole].head = kNil;
+    --used_;
+  }
+
+  void grow() {
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    for (const Slot& slot : old) {
+      if (slot.head != kNil) slots_[find(slot.chunk)] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;  // a power of two, at most half full
+  std::size_t used_ = 0;
+  std::vector<Pending> nodes_;
+  std::uint32_t free_ = kNil;
+};
+
+// The waiting room: a FIFO ring, so admitting and batching allocate
+// nothing.  The slots for a default-sized waiting room are allocated up
+// front; a larger limit grows the ring by doubling, up to the limit.
+class WaitingRing {
+ public:
+  void set_limit(std::size_t limit) {
+    limit_ = limit;
+    slots_.resize(std::min(limit, kInitialSlots));
+  }
+
+  bool empty() const { return count_ == 0; }
+  bool full() const { return count_ == limit_; }
+  std::size_t size() const { return count_; }
+
+  /// Callers check full() first.
+  void push_back(const Waiting& request) {
+    if (count_ == slots_.size()) grow();
+    slots_[index(count_)] = request;
+    ++count_;
+  }
+  /// Only ever after pop_front(), so there is room.
+  void push_front(const Waiting& request) {
+    head_ = head_ == 0 ? slots_.size() - 1 : head_ - 1;
+    slots_[head_] = request;
+    ++count_;
+  }
+  Waiting pop_front() {
+    const Waiting request = slots_[head_];
+    head_ = index(1);
+    --count_;
+    return request;
+  }
+
+ private:
+  static constexpr std::size_t kInitialSlots = 4096;
+
+  std::size_t index(std::size_t i) const {
+    const std::size_t at = head_ + i;
+    return at < slots_.size() ? at : at - slots_.size();
+  }
+
+  void grow() {
+    std::vector<Waiting> grown(std::min(2 * slots_.size(), limit_));
+    for (std::size_t i = 0; i < count_; ++i) grown[i] = slots_[index(i)];
+    slots_.swap(grown);
+    head_ = 0;
+  }
+
+  std::vector<Waiting> slots_;
+  std::size_t limit_ = 0;
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
 };
 
 }  // namespace
@@ -168,12 +350,20 @@ struct Inflight {
 // balancer's chunk-level outcomes turn back into per-request responses via
 // the per-chunk in-flight FIFO (sound because step() consumes distinct
 // chunks and the balancer's queues are FIFO per chunk delivery order).
+//
+// The request path (submit_batch -> build_batch -> step -> the sink) does
+// no heap allocation, no clock read and no locked read-modify-write per
+// untraced request once warm: the waiting room is a ring, the in-flight
+// FIFOs live in a flat table over a slab, and every counter and histogram
+// below is written only by the tick mutex's holder (obs::bump and the
+// single-writer recorders).  A tick reads the clock at most three times:
+// at its start (queue wait) and around step(); the step-end read stamps
+// the latency of every request the step answered.
 struct ServingEngine::Impl final : core::RequestSink {
   EngineConfig config;
   ResponseFn on_response;
   std::unique_ptr<store::KeyMapper> mapper;
   std::size_t max_batch = 0;
-  std::size_t waiting_limit = 0;
   // tick_interval_us > 0: the thread runs every tick, one per interval.
   bool paced = false;
   std::atomic<bool> accepting{false};
@@ -192,8 +382,8 @@ struct ServingEngine::Impl final : core::RequestSink {
   std::unique_ptr<core::LoadBalancer> balancer;
   std::unique_ptr<core::FailureSchedule> schedule;
   core::Metrics metrics;
-  std::deque<Waiting> waiting;
-  std::unordered_map<core::ChunkId, Inflight> inflight;
+  WaitingRing waiting;
+  InflightTable inflight;
   std::vector<std::uint8_t> up_state;
   std::uint64_t tick_clock = 0;  // ticks run; the failure schedule's clock
   std::uint64_t balancer_backlog = 0;  // as of the end of the last tick
@@ -213,9 +403,16 @@ struct ServingEngine::Impl final : core::RequestSink {
   std::vector<core::ChunkId> batch;
   std::vector<core::FailureTransition> transitions;
   std::vector<std::uint32_t> backlog_scratch;
+  // Requests answered since the last stamp(): the submit_batch() time of
+  // each, and how many were served or rejected.  Their latency samples and
+  // window counts wait for the tick's next clock read.
+  std::vector<std::uint64_t> unstamped;
+  std::uint64_t unstamped_completed = 0;
+  std::uint64_t unstamped_rejected = 0;
 
-  // Live counters (the tick writes, snapshot() reads).  The STATS plane
-  // reads these directly, so they stay live with obs compiled out.
+  // Live counters (the tick mutex's holder writes, with obs::bump;
+  // snapshot() reads).  The STATS plane reads these directly, so they stay
+  // live with obs compiled out.
   std::atomic<std::uint64_t> submitted{0};
   std::atomic<std::uint64_t> completed{0};
   std::atomic<std::uint64_t> rejected_queue_full{0};
@@ -252,7 +449,8 @@ struct ServingEngine::Impl final : core::RequestSink {
   std::unique_ptr<std::atomic<std::uint32_t>[]> backlog_by_server;
 
   // Repair plane (StatsSnapshot v4): the placement epoch last heard on a
-  // router heartbeat, and this backend's migration traffic totals.
+  // router heartbeat, and this backend's migration traffic totals.  Written
+  // from other threads, outside the tick mutex: these keep their RMWs.
   std::atomic<std::uint64_t> placement_epoch{0};
   std::atomic<std::uint64_t> migrations_in{0};
   std::atomic<std::uint64_t> migrations_out{0};
@@ -273,17 +471,28 @@ struct ServingEngine::Impl final : core::RequestSink {
   // recheck and the shutdown drain.  Declared after everything it uses.
   std::thread thread;
 
-  void record_latency(std::uint64_t submit_ns) {
+  void record_latency(std::uint64_t submit_ns, std::uint64_t now) {
     if (submit_ns == 0) return;
-    const std::uint64_t now = obs::now_ns();
     const std::uint64_t us = now > submit_ns ? (now - submit_ns) / 1000 : 0;
     latency.record(us);
     win_latency.record(us, now);
   }
 
-  void record_queue_wait(std::uint64_t wait_ns) {
-    queue_wait.record(wait_ns / 1000);
-    win_queue_wait.record(wait_ns / 1000);
+  /// Record the latency and window counts of every request answered since
+  /// the last stamp, as of `now`.
+  void stamp(std::uint64_t now) {
+    for (const std::uint64_t submit_ns : unstamped) {
+      record_latency(submit_ns, now);
+    }
+    unstamped.clear();
+    if (unstamped_completed != 0) {
+      win_latency.add(kWinCompleted, unstamped_completed, now);
+      unstamped_completed = 0;
+    }
+    if (unstamped_rejected != 0) {
+      win_latency.add(kWinRejected, unstamped_rejected, now);
+      unstamped_rejected = 0;
+    }
   }
 
   /// Land one engine.request span in the flight recorder (no-op for
@@ -324,9 +533,9 @@ struct ServingEngine::Impl final : core::RequestSink {
     response.server = server;
     response.wait_steps =
         pending.waited + static_cast<std::uint32_t>(wait_steps);
-    completed.fetch_add(1, std::memory_order_relaxed);
-    win_latency.add(kWinCompleted);
-    record_latency(pending.submit_ns);
+    obs::bump(completed);
+    ++unstamped_completed;
+    unstamped.push_back(pending.submit_ns);
     record_span(pending.trace, pending.submit_ns, pending.queue_depth,
                 kEngineOk);
     on_response(response);
@@ -343,13 +552,13 @@ struct ServingEngine::Impl final : core::RequestSink {
     if (!pop_pending(x, pending)) return;
     switch (cause) {
       case core::RejectCause::kQueueFull:
-        rejected_queue_full.fetch_add(1, std::memory_order_relaxed);
+        obs::bump(rejected_queue_full);
         break;
       case core::RejectCause::kAllReplicasDown:
-        rejected_all_down.fetch_add(1, std::memory_order_relaxed);
+        obs::bump(rejected_all_down);
         break;
       case core::RejectCause::kQueueDrop:
-        rejected_drop.fetch_add(1, std::memory_order_relaxed);
+        obs::bump(rejected_drop);
         break;
     }
     reject_pending(pending);
@@ -362,25 +571,22 @@ struct ServingEngine::Impl final : core::RequestSink {
     response.conn_token = pending.conn_token;
     response.request_id = pending.request_id;
     response.status = kEngineReject;
-    win_latency.add(kWinRejected);
-    record_latency(pending.submit_ns);
+    ++unstamped_rejected;
+    unstamped.push_back(pending.submit_ns);
     record_span(pending.trace, pending.submit_ns, pending.queue_depth,
                 kEngineReject);
     on_response(response);
   }
 
   bool pop_pending(core::ChunkId x, Pending& out) {
-    const auto it = inflight.find(x);
-    if (it == inflight.end() || it->second.queue.empty()) {
+    if (!inflight.pop(x, out)) {
       // A sink event with no matching delivery would mean the balancer
       // broke the one-event-per-request contract; count, don't crash.
-      sink_orphans.fetch_add(1, std::memory_order_relaxed);
+      obs::bump(sink_orphans);
       return false;
     }
-    out = it->second.queue.front();
-    it->second.queue.pop_front();
-    if (it->second.queue.empty()) inflight.erase(it);
-    inflight_count.fetch_sub(1, std::memory_order_relaxed);
+    inflight_count.store(inflight_count.load(std::memory_order_relaxed) - 1,
+                         std::memory_order_relaxed);
     return true;
   }
 
@@ -396,7 +602,7 @@ struct ServingEngine::Impl final : core::RequestSink {
   /// Admission control, on the submitting thread: the waiting room bounds
   /// pre-routing memory; an overflowing arrival is the engine's own
   /// rejection, answered here, before the policy ever sees it.
-  void admit(Waiting request);
+  void admit(const Waiting& request);
   /// One drain tick, the paper's step.  Caller holds mutex.
   TickResult tick();
   /// Tick until the engine settles, or until a tick makes no progress (a
@@ -406,11 +612,12 @@ struct ServingEngine::Impl final : core::RequestSink {
   /// The thread: waits for a tick to run, paces, and drains at shutdown.
   void run();
   void apply_failures();
-  std::size_t build_batch();
-  /// Journals the safe-set invariant's edges when a check is due.  Ratio
-  /// travels in parts-per-million (the journal carries integers).  Caller
-  /// holds mutex.
-  void check_safe_set();
+  /// `now`: the tick's start, the delivery time for queue wait.
+  std::size_t build_batch(std::uint64_t now);
+  /// Journals the safe-set invariant's edges when a check is due at `now`.
+  /// Ratio travels in parts-per-million (the journal carries integers).
+  /// Caller holds mutex.
+  void check_safe_set(std::uint64_t now);
 
   /// The per-level view over the backlog samples of all m servers.
   std::vector<core::SafeSetLevel> safe_set_levels() const {
@@ -422,32 +629,32 @@ struct ServingEngine::Impl final : core::RequestSink {
   }
 };
 
-void ServingEngine::Impl::admit(Waiting request) {
-  if (waiting.size() < waiting_limit) {
-    request.enqueue_tick = tick_clock;
-    request.queue_depth = waiting.size();
+void ServingEngine::Impl::admit(const Waiting& request) {
+  if (!waiting.full()) {
     waiting.push_back(request);
     return;
   }
+  // A shed is answered at once: its latency ends at the batch's own clock
+  // read.
+  const std::uint64_t now = request.submit_ns;
+  obs::bump(rejected_admission);
   const std::uint64_t sheds =
-      rejected_admission.fetch_add(1, std::memory_order_relaxed) + 1;
-  win_latency.add(kWinRejected);
-  const std::uint64_t shed_now = obs::now_ns();
-  if (shed_now - last_shed_journal_ns > 100'000'000) {
-    last_shed_journal_ns = shed_now;
+      rejected_admission.load(std::memory_order_relaxed);
+  win_latency.add(kWinRejected, 1, now);
+  if (now - last_shed_journal_ns > 100'000'000) {
+    last_shed_journal_ns = now;
     obs::Journal::instance().append(obs::JournalType::kShed, 0, sheds);
   }
   EngineResponse response;
   response.conn_token = request.conn_token;
   response.request_id = request.request_id;
   response.status = kEngineReject;
-  record_latency(request.submit_ns);
+  record_latency(request.submit_ns, now);
   record_span(request.trace, request.submit_ns, waiting.size(), kEngineReject);
   on_response(response);
 }
 
-void ServingEngine::Impl::check_safe_set() {
-  const std::uint64_t now = obs::now_ns();
+void ServingEngine::Impl::check_safe_set(std::uint64_t now) {
   if (now < safe_check_due_ns) return;
   safe_check_due_ns = now + kSafeCheckNs;
   std::uint32_t violated_level = 0;
@@ -485,31 +692,22 @@ void ServingEngine::Impl::apply_failures() {
                                           static_cast<core::Time>(tick_clock));
     balancer->set_server_up(transition.server, transition.up, dump, metrics);
     if (transition.up) {
-      recoveries.fetch_add(1, std::memory_order_relaxed);
-      down.fetch_sub(1, std::memory_order_relaxed);
+      obs::bump(recoveries);
+      down.store(down.load(std::memory_order_relaxed) - 1,
+                 std::memory_order_relaxed);
     } else {
-      crashes.fetch_add(1, std::memory_order_relaxed);
-      down.fetch_add(1, std::memory_order_relaxed);
+      obs::bump(crashes);
+      obs::bump(down);
     }
   }
 }
 
-std::size_t ServingEngine::Impl::build_batch() {
+std::size_t ServingEngine::Impl::build_batch(std::uint64_t now) {
   batch.clear();
   deferred.clear();
-  // One clock read covers every delivery this tick; queue wait is
-  // submit_batch() -> here (the waiting room).
-  const std::uint64_t deliver_ns = waiting.empty() ? 0 : obs::now_ns();
+  std::uint64_t delivered = 0;
   while (!waiting.empty() && batch.size() < max_batch) {
-    Waiting request = waiting.front();
-    waiting.pop_front();
-    Inflight& entry = inflight[request.chunk];
-    if (entry.batched_tick == tick_clock) {
-      deferred.push_back(request);
-      continue;
-    }
-    entry.batched_tick = tick_clock;
-    batch.push_back(request.chunk);
+    const Waiting request = waiting.pop_front();
     Pending pending;
     pending.conn_token = request.conn_token;
     pending.request_id = request.request_id;
@@ -518,39 +716,56 @@ std::size_t ServingEngine::Impl::build_batch() {
     pending.submit_ns = request.submit_ns;
     pending.queue_depth = request.queue_depth;
     pending.trace = request.trace;
-    if (request.submit_ns != 0 && deliver_ns > request.submit_ns) {
-      record_queue_wait(deliver_ns - request.submit_ns);
+    if (!inflight.deliver(request.chunk, tick_clock, pending)) {
+      deferred.push_back(request);
+      continue;
     }
-    entry.queue.push_back(pending);
-    inflight_count.fetch_add(1, std::memory_order_relaxed);
+    batch.push_back(request.chunk);
+    ++delivered;
+    // Queue wait: submit_batch() -> this tick (the waiting room).
+    if (request.submit_ns != 0 && now > request.submit_ns) {
+      const std::uint64_t us = (now - request.submit_ns) / 1000;
+      queue_wait.record(us);
+      win_queue_wait.record(us, now);
+    }
   }
-  // Deferred requests keep their arrival-order priority.
-  waiting.insert(waiting.begin(), deferred.begin(), deferred.end());
+  obs::bump(inflight_count, delivered);
+  // Deferred requests go back to the front, keeping their arrival order.
+  for (std::size_t i = deferred.size(); i-- > 0;) {
+    waiting.push_front(deferred[i]);
+  }
   return batch.size();
 }
 
 ServingEngine::Impl::TickResult ServingEngine::Impl::tick() {
+  const std::uint64_t start_ns = obs::now_ns();
   apply_failures();
 
-  const std::size_t batch_size = build_batch();
+  const std::size_t batch_size = build_batch(start_ns);
   waiting_depth.store(waiting.size(), std::memory_order_relaxed);
+  // The tick's last clock read: the step's end, or its start when it has
+  // nothing to step.  Responses are only staged during the tick, so this
+  // stamp falls between the answer and its write.
+  std::uint64_t end_ns = start_ns;
   if (batch_size > 0 || balancer_backlog > 0) {
     const std::uint64_t step_start = obs::now_ns();
     balancer->step(static_cast<core::Time>(tick_clock), batch, metrics);
-    const std::uint64_t step_time = obs::now_ns() - step_start;
-    step_ns.fetch_add(step_time, std::memory_order_relaxed);
+    end_ns = obs::now_ns();
+    const std::uint64_t step_time = end_ns - step_start;
+    obs::bump(step_ns, step_time);
     step_hist.record(step_time);
   }
+  stamp(end_ns);
   if (batch_size > 0) {
     batch_hist.record(batch_size);
-    batches.fetch_add(1, std::memory_order_relaxed);
-    batched_chunks.fetch_add(batch_size, std::memory_order_relaxed);
+    obs::bump(batches);
+    obs::bump(batched_chunks, batch_size);
     if (batch_size > max_batch_seen.load(std::memory_order_relaxed)) {
       max_batch_seen.store(batch_size, std::memory_order_relaxed);
     }
   }
   ++tick_clock;
-  ticks.fetch_add(1, std::memory_order_relaxed);
+  obs::bump(ticks);
 
   // Refresh the per-server backlog view (feeds the safe-set monitor) and
   // derive the total from the same sample.
@@ -562,7 +777,7 @@ ServingEngine::Impl::TickResult ServingEngine::Impl::tick() {
     balancer_backlog += backlog_scratch[s];
   }
   backlog.store(balancer_backlog, std::memory_order_relaxed);
-  check_safe_set();
+  check_safe_set(end_ns);
 
   TickResult result;
   result.progressed = batch_size > 0 || balancer_backlog < backlog_before;
@@ -600,7 +815,7 @@ void ServingEngine::Impl::run() {
         // Idle while the invariant is last known violated: check again
         // when the next evaluation is due, so the recovery is journaled
         // even if no request ever arrives.
-        check_safe_set();
+        check_safe_set(obs::now_ns());
         continue;
       }
     }
@@ -631,18 +846,15 @@ void ServingEngine::Impl::run() {
       // the backlog freezes: flush rejects the residue so every client
       // still gets an answer before the thread exits.
       balancer->flush(metrics);
-      for (auto& [chunk, entry] : inflight) {
-        // Anything the balancer could not attribute (sink unsupported
-        // paths) is answered as rejected rather than leaked: a drain
-        // flush, so it counts as a drop.
-        for (const Pending& pending : entry.queue) {
-          rejected_drop.fetch_add(1, std::memory_order_relaxed);
-          reject_pending(pending);
-        }
-        inflight_count.fetch_sub(entry.queue.size(),
-                                 std::memory_order_relaxed);
-      }
-      inflight.clear();
+      // Anything the balancer could not attribute (sink unsupported
+      // paths) is answered as rejected rather than leaked: a drain flush,
+      // so it counts as a drop.
+      inflight.drain([&](const Pending& pending) {
+        obs::bump(rejected_drop);
+        reject_pending(pending);
+      });
+      inflight_count.store(0, std::memory_order_relaxed);
+      stamp(obs::now_ns());
       break;
     }
   }
@@ -705,8 +917,8 @@ ServingEngine::ServingEngine(const EngineConfig& config, ResponseFn on_response)
     }
 
     impl_->max_batch = config.max_batch ? config.max_batch : config.servers;
-    impl_->waiting_limit =
-        config.waiting_limit ? config.waiting_limit : 8 * impl_->max_batch;
+    impl_->waiting.set_limit(config.waiting_limit ? config.waiting_limit
+                                                  : 8 * impl_->max_batch);
     impl_->paced = config.tick_interval_us > 0;
   } catch (...) {
     delete impl_;
@@ -754,14 +966,16 @@ void ServingEngine::submit_batch(const SubmitItem* items, std::size_t count,
     if (!impl.stopping) {
       // A paced engine's thread parks only while the engine is settled.
       const bool wake = impl.paced && impl.settled();
-      impl.submitted.fetch_add(count, std::memory_order_relaxed);
+      obs::bump(impl.submitted, count);
       impl.win_latency.add(Impl::kWinSubmitted, count, now);
       for (std::size_t i = 0; i < count; ++i) {
         Waiting request;
         request.conn_token = items[i].conn_token;
         request.request_id = items[i].request_id;
         request.chunk = impl.mapper->chunk_of(items[i].key);
+        request.enqueue_tick = impl.tick_clock;
         request.submit_ns = now;
+        request.queue_depth = impl.waiting.size();
         request.trace = items[i].trace;
         impl.admit(request);
       }

@@ -280,10 +280,10 @@ struct StatsSnapshot {
   obs::LogHistogram latency;
 
   // Per-hop latency decomposition (v3).  On a backend, `queue_wait` is the
-  // submit-to-drain-tick wait inside the MPSC queue + waiting room; on a
-  // router, `hop_rtt` is the forward-to-response round trip per upstream
-  // hop (retries sample once per attempt).  The counterpart histogram is
-  // empty for each role.
+  // submit-to-drain-tick wait inside the waiting room; on a router,
+  // `hop_rtt` is the forward-to-response round trip per upstream hop
+  // (retries sample once per attempt).  The counterpart histogram is empty
+  // for each role.
   obs::LogHistogram hop_rtt;
   obs::LogHistogram queue_wait;
 

@@ -6,17 +6,33 @@ namespace rlb::net {
 
 namespace {
 
+// Little-endian stores into a frame the caller has already sized.
+std::uint8_t* store_u32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
+  return p + 4;
+}
+
+std::uint8_t* store_u64(std::uint8_t* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  return p + 8;
+}
+
+/// Grow `out` by `bytes` and return where the new bytes start.
+std::uint8_t* extend(std::vector<std::uint8_t>& out, std::size_t bytes) {
+  const std::size_t at = out.size();
+  out.resize(at + bytes);
+  return out.data() + at;
+}
+
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
+  store_u32(extend(out, 4), v);
 }
 
 void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
+  store_u64(extend(out, 8), v);
 }
 
 std::uint32_t get_u32(const std::uint8_t* p) {
@@ -55,25 +71,28 @@ void encode_request(const RequestMsg& msg, std::vector<std::uint8_t>& out) {
   // non-sampled request is byte-identical to the v1 frame (and old peers
   // never see the extended size).
   const bool traced = msg.trace.valid();
-  put_u32(out, static_cast<std::uint32_t>(traced ? kRequestTracedPayloadSize
-                                                 : kRequestPayloadSize));
-  out.push_back(static_cast<std::uint8_t>(MsgType::kRequest));
-  put_u64(out, msg.request_id);
-  put_u64(out, msg.key);
+  const std::size_t payload =
+      traced ? kRequestTracedPayloadSize : kRequestPayloadSize;
+  std::uint8_t* p = extend(out, 4 + payload);
+  p = store_u32(p, static_cast<std::uint32_t>(payload));
+  *p++ = static_cast<std::uint8_t>(MsgType::kRequest);
+  p = store_u64(p, msg.request_id);
+  p = store_u64(p, msg.key);
   if (traced) {
-    put_u64(out, msg.trace.trace_id);
-    put_u64(out, msg.trace.parent_span_id);
-    out.push_back(msg.trace.flags);
+    p = store_u64(p, msg.trace.trace_id);
+    p = store_u64(p, msg.trace.parent_span_id);
+    *p = msg.trace.flags;
   }
 }
 
 void encode_response(const ResponseMsg& msg, std::vector<std::uint8_t>& out) {
-  put_u32(out, static_cast<std::uint32_t>(kResponsePayloadSize));
-  out.push_back(static_cast<std::uint8_t>(MsgType::kResponse));
-  put_u64(out, msg.request_id);
-  out.push_back(static_cast<std::uint8_t>(msg.status));
-  put_u32(out, msg.server);
-  put_u32(out, msg.wait_steps);
+  std::uint8_t* p = extend(out, 4 + kResponsePayloadSize);
+  p = store_u32(p, static_cast<std::uint32_t>(kResponsePayloadSize));
+  *p++ = static_cast<std::uint8_t>(MsgType::kResponse);
+  p = store_u64(p, msg.request_id);
+  *p++ = static_cast<std::uint8_t>(msg.status);
+  p = store_u32(p, msg.server);
+  store_u32(p, msg.wait_steps);
 }
 
 void encode_stats_request(const StatsRequestMsg& msg,

@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 
 namespace rlb::obs::hist {
 
@@ -107,11 +108,23 @@ struct LogHistogram {
   bool operator==(const LogHistogram&) const = default;
 };
 
-/// Concurrent recorder for a LogHistogram: hot paths record with relaxed
-/// atomics (four per sample, no lock) and the scrape path folds the
-/// fields into a plain LogHistogram with merge_into().  Relaxed ordering
-/// means a read may tear across fields (count updated, bucket not yet);
-/// fine for telemetry, never used for control decisions.
+/// Add `delta` to a counter that has one writer at a time (callers
+/// serialize writers; readers may be on any thread): a relaxed load and
+/// store, no locked read-modify-write.
+template <typename T>
+void bump(std::atomic<T>& counter,
+          std::type_identity_t<T> delta = 1) noexcept {
+  counter.store(counter.load(std::memory_order_relaxed) + delta,
+                std::memory_order_relaxed);
+}
+
+/// Recorder for a LogHistogram that a scrape can read from another thread.
+/// Callers serialize writers (one thread, or under the owner's lock);
+/// readers may be on any thread.  A record is a relaxed load and store per
+/// field, no lock and no locked read-modify-write, and the scrape path
+/// folds the fields into a plain LogHistogram with merge_into().  Relaxed
+/// ordering means a read may tear across fields (count updated, bucket not
+/// yet); fine for telemetry, never used for control decisions.
 struct AtomicLogHistogram {
   std::atomic<std::uint64_t> count{0};
   std::atomic<std::uint64_t> sum{0};
@@ -119,13 +132,12 @@ struct AtomicLogHistogram {
   std::array<std::atomic<std::uint64_t>, hist::kBuckets> buckets{};
 
   void record(std::uint64_t v) noexcept {
-    count.fetch_add(1, std::memory_order_relaxed);
-    sum.fetch_add(v, std::memory_order_relaxed);
-    std::uint64_t prev = max.load(std::memory_order_relaxed);
-    while (v > prev &&
-           !max.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
+    bump(count);
+    bump(sum, v);
+    if (v > max.load(std::memory_order_relaxed)) {
+      max.store(v, std::memory_order_relaxed);
     }
-    buckets[hist::index_of(v)].fetch_add(1, std::memory_order_relaxed);
+    bump(buckets[hist::index_of(v)]);
   }
 
   /// Accumulate into `out` (relaxed loads; several recorders can fold

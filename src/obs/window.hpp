@@ -3,16 +3,17 @@
 // Every histogram the serving stack exposed before this existed was
 // lifetime-cumulative, so a p99 spike during a 5-second incident drowns
 // in hours of quiet samples.  A WindowedAggregator keeps the last ~N
-// seconds as N one-second slots; writers record into the current slot
-// with relaxed atomics (same discipline as the engine's shard counters —
-// no locks, no ordering, telemetry-grade accuracy) and readers fold the
-// live slots into one delta histogram covering the trailing window.
+// seconds as N one-second slots; the writer records into the current slot
+// and readers fold the live slots into one delta histogram covering the
+// trailing window.
 //
-// Rotation is lazy and writer-driven: the first writer to touch a slot
-// whose window index moved on claims it with a CAS and zeroes it.  A
-// sample racing that reset can be lost, and a reader can observe a slot
-// mid-reset — both are acceptable for advisory telemetry and keep the
-// hot path to a handful of relaxed atomic adds.
+// Callers serialize writers (the engine records under its tick mutex, the
+// router on its loop thread); readers may be on any thread.  So a record
+// is relaxed loads and stores, no lock and no locked read-modify-write.
+// Rotation is lazy and writer-driven: the writer that first touches a slot
+// whose window index moved on zeroes it and then publishes the new index.
+// A reader can observe a slot mid-reset, which is acceptable for advisory
+// telemetry.
 //
 // Each slot records into an obs::AtomicLogHistogram, so a fold is a plain
 // LogHistogram that drops straight into a STATS windowed histogram.
@@ -52,8 +53,7 @@ class WindowedAggregator {
 
   void add(std::size_t counter, std::uint64_t delta, std::uint64_t now) {
     if (counter >= kCounters) return;
-    slot_for(now).counters[counter].fetch_add(delta,
-                                              std::memory_order_relaxed);
+    bump(slot_for(now).counters[counter], delta);
   }
 
   /// The trailing window folded into one delta histogram + counter set.
@@ -109,13 +109,12 @@ class WindowedAggregator {
     const std::uint64_t window = now / window_ns_;
     Slot& slot = slots_[window % nslots_];
     const std::uint64_t want = window + 1;
-    std::uint64_t have = slot.epoch.load(std::memory_order_acquire);
-    if (have != want &&
-        slot.epoch.compare_exchange_strong(have, want,
-                                           std::memory_order_acq_rel)) {
-      // This writer claimed the recycled slot; zero last window's data.
+    if (slot.epoch.load(std::memory_order_relaxed) != want) {
+      // The writer recycles the slot: zero last window's data, then
+      // publish the window it now holds.
       slot.hist.reset();
       for (auto& c : slot.counters) c.store(0, std::memory_order_relaxed);
+      slot.epoch.store(want, std::memory_order_release);
     }
     return slot;
   }

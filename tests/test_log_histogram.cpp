@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <mutex>
 #include <random>
 #include <thread>
 #include <vector>
@@ -120,15 +121,20 @@ TEST(LogHistogram, MergingShardsWindowsAndProcessesEqualsOneRecording) {
   }
   const LogHistogram one = histogram_of(samples);
 
-  // Per shard: four threads record concurrently into one relaxed-atomic
-  // recorder, and into a recorder each that the scrape folds together.
+  // Per shard: four threads record into one recorder, serialized by a
+  // lock (a recorder takes one writer at a time), and into a recorder each
+  // that the scrape folds together.
   AtomicLogHistogram shared;
+  std::mutex shared_mutex;
   std::vector<AtomicLogHistogram> shards(4);
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < shards.size(); ++t) {
     threads.emplace_back([&, t] {
       for (std::size_t i = t; i < samples.size(); i += shards.size()) {
-        shared.record(samples[i]);
+        {
+          std::lock_guard lock(shared_mutex);
+          shared.record(samples[i]);
+        }
         shards[t].record(samples[i]);
       }
     });

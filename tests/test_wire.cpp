@@ -51,6 +51,60 @@ TEST(Wire, ResponseRoundTrips) {
   EXPECT_EQ(response.wait_steps, 12345u);
 }
 
+// Golden bytes: the encoders append to what `out` already holds, and every
+// field is little-endian in a fixed position.
+TEST(Wire, RequestEncodesGoldenBytes) {
+  std::vector<std::uint8_t> wire = {0xaa};
+  encode_request({0x0123456789abcdefULL, 0xfedcba9876543210ULL, {}}, wire);
+  const std::vector<std::uint8_t> golden = {
+      0xaa,                                            // already there
+      0x11, 0x00, 0x00, 0x00,                          // payload size 17
+      0x01,                                            // REQUEST
+      0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01,  // request_id
+      0x10, 0x32, 0x54, 0x76, 0x98, 0xba, 0xdc, 0xfe,  // key
+  };
+  EXPECT_EQ(wire, golden);
+}
+
+TEST(Wire, TracedRequestEncodesGoldenBytes) {
+  RequestMsg msg{0x0123456789abcdefULL, 0xfedcba9876543210ULL, {}};
+  msg.trace.trace_id = 0x1122334455667788ULL;
+  msg.trace.parent_span_id = 0x99aabbccddeeff00ULL;
+  msg.trace.flags = 0x01;
+  std::vector<std::uint8_t> wire;
+  encode_request(msg, wire);
+  const std::vector<std::uint8_t> golden = {
+      0x22, 0x00, 0x00, 0x00,                          // payload size 34
+      0x01,                                            // REQUEST
+      0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01,  // request_id
+      0x10, 0x32, 0x54, 0x76, 0x98, 0xba, 0xdc, 0xfe,  // key
+      0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,  // trace_id
+      0x00, 0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa, 0x99,  // parent_span_id
+      0x01,                                            // flags
+  };
+  EXPECT_EQ(wire, golden);
+}
+
+TEST(Wire, ResponseEncodesGoldenBytes) {
+  ResponseMsg msg;
+  msg.request_id = 0x0807060504030201ULL;
+  msg.status = Status::kReject;
+  msg.server = 0xdeadbeef;
+  msg.wait_steps = 12345;
+  std::vector<std::uint8_t> wire = {0xaa, 0xbb};
+  encode_response(msg, wire);
+  const std::vector<std::uint8_t> golden = {
+      0xaa, 0xbb,                                      // already there
+      0x12, 0x00, 0x00, 0x00,                          // payload size 18
+      0x02,                                            // RESPONSE
+      0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08,  // request_id
+      0x01,                                            // status: reject
+      0xef, 0xbe, 0xad, 0xde,                          // server
+      0x39, 0x30, 0x00, 0x00,                          // wait_steps
+  };
+  EXPECT_EQ(wire, golden);
+}
+
 TEST(Wire, DecodeRejectsBadPayloads) {
   RequestMsg request;
   ResponseMsg response;
