@@ -77,15 +77,36 @@ EpochedPlacement::load_overlay() const {
   return overlay_;
 }
 
-ChoiceList EpochedPlacement::choices(ChunkId chunk) const {
-  const std::shared_ptr<const Overlay> overlay = load_overlay();
-  const auto it = overlay->choices.find(chunk);
-  if (it != overlay->choices.end()) return it->second;
+ChoiceList EpochedPlacement::lookup(const Overlay& overlay,
+                                    ChunkId chunk) const {
+  if (!overlay.choices.empty()) {
+    const auto it = overlay.choices.find(chunk);
+    if (it != overlay.choices.end()) return it->second;
+  }
   return base_.choices(chunk);
 }
 
+ChoiceList EpochedPlacement::choices(ChunkId chunk) const {
+  return lookup(*load_overlay(), chunk);
+}
+
 std::uint64_t EpochedPlacement::epoch() const {
-  return load_overlay()->epoch;
+  return published_epoch_.load(std::memory_order_acquire);
+}
+
+EpochedPlacement::View::View(const EpochedPlacement& placement)
+    : placement_(&placement), overlay_(placement.load_overlay()) {}
+
+ChoiceList EpochedPlacement::View::choices(ChunkId chunk) {
+  if (placement_->published_epoch_.load(std::memory_order_acquire) !=
+      overlay_->epoch) {
+    overlay_ = placement_->load_overlay();
+  }
+  return placement_->lookup(*overlay_, chunk);
+}
+
+std::uint64_t EpochedPlacement::View::epoch() const noexcept {
+  return overlay_->epoch;
 }
 
 bool EpochedPlacement::apply(const PlacementDelta& delta) {
@@ -117,10 +138,15 @@ bool EpochedPlacement::apply(const PlacementDelta& delta) {
   }
   next->epoch = delta.epoch;
   next->history.push_back(delta);
-  // `current` keeps the old overlay alive, so it is freed after the
-  // readers' mutex is released, never while a reader waits on it.
-  std::lock_guard<std::mutex> publish(overlay_mu_);
-  overlay_ = std::move(next);
+  const std::uint64_t epoch = next->epoch;
+  {
+    // `current` keeps the old overlay alive, so it is freed after the
+    // readers' mutex is released, never while a reader waits on it.
+    std::lock_guard<std::mutex> publish(overlay_mu_);
+    overlay_ = std::move(next);
+  }
+  // After the swap: a View that sees this epoch reloads and finds it.
+  published_epoch_.store(epoch, std::memory_order_release);
   return true;
 }
 

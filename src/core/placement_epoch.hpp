@@ -9,13 +9,23 @@
 // PlacementDelta (chunk-level from→to remaps) on top, bumping a
 // monotonically increasing epoch number.
 //
-// Reads are RCU-style: choices() copies the current shared_ptr<const
-// Overlay> under a mutex held for that copy alone (ThreadSanitizer models
-// a mutex, not libstdc++'s atomic<shared_ptr> lock bit), so an in-flight
-// request keeps routing against the epoch it started on and cutover
-// needs no stop-the-world barrier.  Writers (the repair coordinator)
-// serialize on a second mutex, build the next overlay off to the side,
-// and publish it with one pointer store.
+// Reads are RCU-style.  Every commit builds the next overlay off to the
+// side, publishes it with one pointer store under a mutex held for that
+// store alone (ThreadSanitizer models a mutex, not libstdc++'s
+// atomic<shared_ptr> lock bit), then release-stores its epoch number.
+// Writers (the repair coordinator) serialize on a second mutex.  Two read
+// paths share one lookup:
+//
+//   * choices() copies the current shared_ptr<const Overlay> under that
+//     mutex, for any thread;
+//   * a View, owned by one thread (the router's loop), keeps the overlay
+//     it last loaded and reloads it, as choices() does, only when the
+//     published epoch differs from the cached overlay's.  Otherwise a
+//     lookup is one acquire load, no lock and no reference-count update.
+//
+// Either way a lookup that starts after a commit's epoch store sees that
+// commit, an in-flight request keeps routing against the epoch it started
+// on, and cutover needs no stop-the-world barrier.
 //
 // Epochs advance by exactly one per applied delta, and the full delta
 // history is retained so a peer at epoch N can be brought to N+k by
@@ -23,6 +33,7 @@
 // heartbeats.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -65,7 +76,26 @@ void encode_placement_delta(const PlacementDelta& delta,
 /// Placement with an epoch-stamped remap overlay.  Readers never wait on
 /// a writer's work; apply() serializes writers internally.
 class EpochedPlacement {
+  struct Overlay;
+
  public:
+  /// A lookup handle for one thread: choices() with no lock while no
+  /// commit has landed since the last one.  Not thread-safe itself; the
+  /// placement must outlive it.
+  class View {
+   public:
+    explicit View(const EpochedPlacement& placement);
+
+    /// Same answer as EpochedPlacement::choices() at the latest epoch.
+    [[nodiscard]] ChoiceList choices(ChunkId chunk);
+    /// The epoch of the overlay the last lookup used.
+    [[nodiscard]] std::uint64_t epoch() const noexcept;
+
+   private:
+    const EpochedPlacement* placement_;
+    std::shared_ptr<const Overlay> overlay_;
+  };
+
   EpochedPlacement(std::size_t servers, unsigned replication,
                    std::uint64_t seed,
                    PlacementMode mode = PlacementMode::kUniform);
@@ -109,10 +139,14 @@ class EpochedPlacement {
 
   /// The overlay readers see now (a reference-counted copy).
   [[nodiscard]] std::shared_ptr<const Overlay> load_overlay() const;
+  /// The chunk's choices under `overlay`: its entry, else the base hash.
+  [[nodiscard]] ChoiceList lookup(const Overlay& overlay, ChunkId chunk) const;
 
   Placement base_;
   mutable std::mutex overlay_mu_;  // guards the overlay_ pointer only
   std::shared_ptr<const Overlay> overlay_;
+  /// overlay_->epoch, release-stored after each pointer swap.
+  std::atomic<std::uint64_t> published_epoch_{0};
   std::mutex apply_mu_;  // serializes writers; readers never touch it
 };
 
