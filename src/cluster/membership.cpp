@@ -1,5 +1,7 @@
 #include "cluster/membership.hpp"
 
+#include "obs/histogram.hpp"
+
 namespace rlb::cluster {
 
 const char* to_string(BackendHealth health) noexcept {
@@ -114,18 +116,16 @@ void Membership::force_down(std::uint32_t id) {
 
 void Membership::note_forwarded(std::uint32_t id) {
   if (id >= slots_.size()) return;
-  slots_[id].inflight.fetch_add(1, std::memory_order_relaxed);
+  obs::bump(slots_[id].inflight);
 }
 
 void Membership::note_answered(std::uint32_t id) {
   if (id >= slots_.size()) return;
-  // CAS-decrement with a floor at zero: a drop event can retire hops the
+  // Decrement with a floor at zero: a drop event can retire hops the
   // forward path already retired, and the gauge must never wrap.
   std::atomic<std::uint64_t>& inflight = slots_[id].inflight;
-  std::uint64_t current = inflight.load(std::memory_order_relaxed);
-  while (current > 0 && !inflight.compare_exchange_weak(
-                            current, current - 1, std::memory_order_relaxed)) {
-  }
+  const std::uint64_t current = inflight.load(std::memory_order_relaxed);
+  if (current > 0) inflight.store(current - 1, std::memory_order_relaxed);
 }
 
 bool Membership::is_live(std::uint32_t id) const {

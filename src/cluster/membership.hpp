@@ -93,6 +93,10 @@ class Membership {
   /// Data-plane drop: immediate kDown regardless of heartbeat history.
   void force_down(std::uint32_t id);
 
+  /// Count one hop forwarded to / answered by (or retired from) backend
+  /// `id`; the answer side floors at zero.  Single writer: only the router
+  /// loop calls these (readers may be on any thread), so each is a relaxed
+  /// load and store, no locked read-modify-write.
   void note_forwarded(std::uint32_t id);
   void note_answered(std::uint32_t id);
 
@@ -111,10 +115,11 @@ class Membership {
 
  private:
   // The per-hop data-plane surface (health / backlog_gauge / inflight) is
-  // atomic so pick(), is_live(), load_estimate(), note_forwarded() and
-  // note_answered() never take the lock: they run once per forwarded hop
-  // and would otherwise serialize the router's request threads.  The
-  // values are advisory routing state — relaxed ordering is enough; a
+  // atomic so pick(), is_live() and load_estimate() read it without the
+  // lock while the heartbeat probers and the router loop write it.
+  // `inflight` has one writer, the router loop (note_forwarded /
+  // note_answered); health and backlog_gauge are written under mu_.  The
+  // values are advisory routing state, so relaxed ordering is enough: a
   // picker racing a health transition merely routes one request on a
   // one-heartbeat-stale view.  The control-plane fields (miss/success
   // streaks, heartbeat counters, EMA) stay behind mu_, written only by

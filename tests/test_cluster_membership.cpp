@@ -117,6 +117,26 @@ TEST(Membership, LoadEstimateIsGaugePlusLocalInflight) {
   EXPECT_EQ(membership.load_estimate(0), 6u);
 }
 
+// A drop can retire hops the forward path already answered, so
+// note_answered() runs on a zero gauge; it must stay at zero, not wrap.
+TEST(Membership, InflightFloorsAtZero) {
+  Membership membership(2, MembershipConfig{});
+  bring_up(membership, 0, /*backlog=*/3);
+  membership.note_answered(0);
+  EXPECT_EQ(membership.view(0).inflight, 0u);
+  EXPECT_EQ(membership.load_estimate(0), 3u);
+
+  membership.note_forwarded(0);
+  membership.note_answered(0);
+  membership.note_answered(0);
+  EXPECT_EQ(membership.view(0).inflight, 0u);
+  membership.note_forwarded(0);
+  EXPECT_EQ(membership.view(0).inflight, 1u);
+  EXPECT_EQ(membership.load_estimate(0), 4u);
+  // Other backends' gauges are untouched.
+  EXPECT_EQ(membership.view(1).inflight, 0u);
+}
+
 TEST(Membership, PickChoosesLeastLoadedLiveCandidate) {
   Membership membership(4, MembershipConfig{});
   bring_up(membership, 0, 9);
