@@ -41,14 +41,10 @@ class WindowedAggregator {
         nslots_(windows == 0 ? 1 : windows),
         window_ns_(window_ns == 0 ? 1 : window_ns) {}
 
-  void record(std::uint64_t us) { record(us, now_ns()); }
-
+  /// Writers pass the clock they already read (obs::now_ns()), so a
+  /// record never reads it again.
   void record(std::uint64_t us, std::uint64_t now) {
     slot_for(now).hist.record(us);
-  }
-
-  void add(std::size_t counter, std::uint64_t delta = 1) {
-    add(counter, delta, now_ns());
   }
 
   void add(std::size_t counter, std::uint64_t delta, std::uint64_t now) {

@@ -255,6 +255,38 @@ TEST(RouterLoopback, AllAnsweredAndConserved) {
   EXPECT_EQ(backend_submitted, stats.forwarded);
 }
 
+// The router stamps a batch's hops with one clock read and counts with
+// single-writer stores; neither may drop a sample.  Every relayed hop is
+// one hop_rtt record, and every forward one windowed forwarded count.
+TEST(RouterLoopback, HopRttCountsEveryRelayedHop) {
+  std::vector<std::unique_ptr<Backend>> backends;
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    backends.push_back(std::make_unique<Backend>(/*port=*/0, i));
+  }
+  cluster::Router router(
+      fast_config({backends[0].get(), backends[1].get()}));
+  router.start();
+  ASSERT_TRUE(wait_live(router, 2));
+
+  constexpr std::uint64_t kQuota = 3000;
+  ClientTally tally;
+  run_client(router.port(), kQuota, /*concurrency=*/48, /*id_base=*/1,
+             /*seed=*/17, tally);
+  EXPECT_EQ(tally.protocol_errors, 0u);
+  EXPECT_EQ(tally.answered_ids.size(), kQuota);
+
+  const cluster::RouterStats stats = router.stats();
+  const net::StatsSnapshot snapshot = router.snapshot();
+  EXPECT_EQ(stats.relayed_ok + stats.relayed_reject + stats.relayed_error,
+            kQuota);
+  EXPECT_EQ(snapshot.hop_rtt.count,
+            stats.relayed_ok + stats.relayed_reject + stats.relayed_error);
+  EXPECT_EQ(snapshot.win_hop_rtt.count, snapshot.hop_rtt.count);
+  EXPECT_EQ(snapshot.win_submitted, stats.forwarded);
+  EXPECT_EQ(snapshot.win_completed, stats.relayed_ok);
+  router.stop();
+}
+
 TEST(RouterLoopback, BackendLossIsBoundedAndRecoveryRejoins) {
   std::vector<std::unique_ptr<Backend>> backends;
   for (std::uint32_t i = 0; i < 3; ++i) {
