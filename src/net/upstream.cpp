@@ -156,11 +156,13 @@ bool UpstreamConn::enqueue_request(std::uint64_t request_id, std::uint64_t key,
                                    const obs::TraceContext& trace) {
   const std::uint64_t token = impl_->up_token.load(std::memory_order_acquire);
   if (token == 0) return false;
-  thread_local std::vector<std::uint8_t> frame;
-  frame.clear();
-  encode_request(RequestMsg{request_id, key, trace}, frame);
-  return impl_->reactor->send(token, frame.data(), frame.size(),
-                              /*wake=*/false);
+  return impl_->reactor->send_encoded(
+      token,
+      [&](std::vector<std::uint8_t>& out) {
+        encode_request(RequestMsg{request_id, key, trace}, out);
+        return true;
+      },
+      /*wake=*/false);
 }
 
 bool UpstreamConn::flush() {
